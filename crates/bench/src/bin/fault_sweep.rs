@@ -112,7 +112,7 @@ fn run_point(
             let label = format!("{benchmark}/{}", placement.name());
             let sites = disco_bench::serve::injection_sites(args.mesh * args.mesh);
             if let Some(w) =
-                disco_bench::serve::injection_warning(&label, rate, report.cycles, sites)
+                disco_pareto::exec::injection_warning(&label, rate, report.cycles, sites)
             {
                 eprintln!("{w}");
             }

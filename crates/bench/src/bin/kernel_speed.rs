@@ -185,22 +185,15 @@ fn run_mesh(
     }
 }
 
-/// Pulls `"serial_8x8_cycles_per_s": <number>` out of a committed
-/// baseline file without a JSON parser dependency.
+/// Reads the top-level `serial_8x8_cycles_per_s` of a committed
+/// baseline file.
 fn baseline_serial_cps(path: &str) -> Result<f64, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let key = "\"serial_8x8_cycles_per_s\":";
-    let at = text
-        .find(key)
-        .ok_or_else(|| format!("{path}: no serial_8x8_cycles_per_s field"))?;
-    let rest = &text[at + key.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .ok_or_else(|| format!("{path}: unterminated serial_8x8_cycles_per_s"))?;
-    rest[..end]
-        .trim()
-        .parse()
-        .map_err(|_| format!("{path}: unparsable serial_8x8_cycles_per_s"))
+    disco_pareto::json::parse(&text)
+        .map_err(|e| format!("{path}: {e}"))?
+        .get("serial_8x8_cycles_per_s")
+        .and_then(disco_pareto::json::Json::as_f64)
+        .ok_or_else(|| format!("{path}: no numeric serial_8x8_cycles_per_s field"))
 }
 
 fn main() -> ExitCode {

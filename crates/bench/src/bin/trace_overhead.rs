@@ -20,6 +20,7 @@
 
 use disco_bench::sweep::{run_sweep, PointResult, SweepPoint};
 use disco_noc::traffic::TrafficPattern;
+use disco_pareto::json::{self, Json};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -98,16 +99,6 @@ fn fingerprint(results: &[PointResult]) -> u64 {
         }
     }
     h
-}
-
-/// Pulls `"key": "value"` or `"key": value` out of the baseline JSON
-/// without a JSON parser (we wrote the file; its shape is fixed).
-fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": ");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 struct Leg {
@@ -193,23 +184,27 @@ fn main() -> ExitCode {
     // throughput delta of the default-capacity traced leg.
     let mut overhead_pct = f64::NAN;
     if let Some(path) = &args.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        let baseline = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text));
+        let baseline = match baseline {
+            Ok(b) => b,
             Err(e) => {
                 eprintln!("trace_overhead: cannot read baseline {path}: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        let base_fp = json_field(&text, "stats_fingerprint").unwrap_or("");
+        let base_fp = baseline
+            .get("stats_fingerprint")
+            .and_then(Json::as_str)
+            .unwrap_or("");
         if base_fp != format!("{fp:016x}") {
             eprintln!(
                 "trace_overhead: FAIL stats fingerprint {fp:016x} differs from baseline {base_fp}"
             );
             return ExitCode::FAILURE;
         }
-        if let Some(base_cps) =
-            json_field(&text, "default_cycles_per_s").and_then(|v| v.parse::<f64>().ok())
-        {
+        if let Some(base_cps) = baseline.get("default_cycles_per_s").and_then(Json::as_f64) {
             overhead_pct = 100.0 * (base_cps / legs[0].cycles_per_sec.max(1e-9) - 1.0);
             println!(
                 "trace_overhead: stats identical to untraced baseline; tracing costs {overhead_pct:.1}% throughput at default capacity"

@@ -1,38 +1,55 @@
 //! Simulation-as-a-service: a long-running job-queue engine behind the
 //! `disco-serve` binary.
 //!
-//! A queue file (JSON, schema below) lists independent simulation jobs
-//! on the [`SimBuilder`] axes. The engine fans them across OS worker
-//! threads (round-robin, like `sweep::run_sweep`), streams a heartbeat
-//! JSONL line per job chunk, auto-checkpoints every
-//! `checkpoint_every` cycles via [`System::snapshot`], and resumes any
-//! job whose checkpoint it finds in the output directory — so a killed
-//! process restarts and finishes its queue with final stats
-//! byte-identical to an uninterrupted run (the snapshot determinism
-//! contract, pinned by `tests/determinism.rs`).
+//! A queue file (JSON, schema below) lists independent simulation jobs,
+//! each a [`SimSpec`]. The engine fans them across OS worker threads
+//! (round-robin, like `sweep::run_sweep`), streams a heartbeat JSONL
+//! line per job chunk, auto-checkpoints every `checkpoint_every` cycles
+//! via [`System::snapshot`], and resumes any job whose checkpoint it
+//! finds in the output directory — so a killed process restarts and
+//! finishes its queue with final stats byte-identical to an
+//! uninterrupted run (the snapshot determinism contract, pinned by
+//! `tests/determinism.rs`).
 //!
-//! Queue schema:
+//! Queue schema. A job's keys are the [`SimSpec`] keys
+//! ([`disco_pareto::spec::FIELDS`], the same table the frontier JSON of
+//! `pareto` renders its points with), plus `name`, the `mesh` shorthand
+//! and `compute_shards`:
 //!
 //! ```json
 //! {
 //!   "checkpoint_every": 2000,
 //!   "jobs": [
 //!     {
-//!       "name": "bs-disco",
-//!       "mesh": 4,                  // or "cols"/"rows"
-//!       "topology": "mesh",         // mesh|ring|hring|torus|cmesh
+//!       "name": "bs-disco",         // required, file-safe
+//!       "mesh": 4,                  // or "cols"/"rows"; required
+//!       "topology": "mesh",         // mesh|ring|hring|torus|cmesh|xmesh
+//!       "vcs": 2,                   // VCs per port (raised to the topology's floor)
+//!       "buffer_depth": 8,          // flits per VC
 //!       "placement": "disco",       // baseline|ideal|cc|cnc|disco
 //!       "scheme": "delta",          // a compress::SchemeKind name
+//!       "cc_threshold": 0.5,        // DISCO Eq. (1)/(2): CC_th, CD_th,
+//!       "cd_threshold": 0.5,        //   γ, α, β
+//!       "gamma": 0.5,
+//!       "alpha": 0.5,
+//!       "beta": 1.5,
 //!       "benchmark": "blackscholes",
-//!       "trace_len": 10000,
+//!       "trace_len": 10000,         // required
 //!       "seed": 1,
-//!       "compute_shards": 1,
 //!       "max_cycles": 0,            // 0 = auto budget
-//!       "fault_rate": 0.0           // needs the `faults` feature if > 0
+//!       "fault_rate": 0.0,          // needs the `faults` feature if > 0
+//!       "compute_shards": 1
 //!     }
 //!   ]
 //! }
 //! ```
+//!
+//! Absent keys take the values shown (the [`SimSpec`] defaults); names
+//! match case-insensitively. A value of the wrong type or range, or a
+//! key repeated within one object, is an error naming `jobs[i].<key>` —
+//! never a silent default. Other keys are ignored, so a point copied out
+//! of a `pareto` frontier JSON, given a name, grid, trace length and
+//! seed, is a valid job.
 //!
 //! Per-job files in the output directory: `<name>.stats` (final stats,
 //! written atomically — its existence marks completion), `<name>.jsonl`
@@ -41,87 +58,25 @@
 //! its next chunk boundary, checkpoint intact.
 
 use crate::sweep;
-use disco_compress::SchemeKind;
-use disco_core::{CompressionPlacement, SimBuilder, SimError, System};
-use disco_noc::{NocConfig, TopologyChoice};
-use disco_workloads::Benchmark;
+use disco_core::{SimError, System};
+use disco_pareto::exec::{fan_out, injection_warning};
+use disco_pareto::json::{self, Json};
+use disco_pareto::spec::{SimSpec, FIELDS};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-pub mod json;
-
-use json::Json;
-
-/// One queued simulation job on the [`SimBuilder`] axes.
+/// One queued simulation job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Unique, file-safe job name (output files derive from it).
     pub name: String,
-    /// Mesh columns.
-    pub cols: usize,
-    /// Mesh rows.
-    pub rows: usize,
-    /// NoC topology.
-    pub topology: TopologyChoice,
-    /// Compression placement.
-    pub placement: CompressionPlacement,
-    /// Compression scheme.
-    pub scheme: SchemeKind,
-    /// Workload.
-    pub benchmark: Benchmark,
-    /// Accesses per core.
-    pub trace_len: usize,
-    /// RNG seed.
-    pub seed: u64,
+    /// The simulation.
+    pub spec: SimSpec,
     /// Kernel shard request (ignored without the `parallel` feature).
     pub compute_shards: usize,
-    /// Cycle budget (0 = auto).
-    pub max_cycles: u64,
-    /// Uniform fault rate (requires the `faults` feature when > 0).
-    pub fault_rate: f64,
-}
-
-impl JobSpec {
-    /// The simulator configuration this job describes.
-    pub fn builder(&self) -> SimBuilder {
-        let noc = NocConfig {
-            compute_shards: self.compute_shards,
-            ..NocConfig::default()
-        };
-        let builder = SimBuilder::new()
-            .mesh(self.cols, self.rows)
-            .topology(self.topology)
-            .placement(self.placement)
-            .scheme(self.scheme)
-            .benchmark(self.benchmark)
-            .trace_len(self.trace_len)
-            .seed(self.seed)
-            .max_cycles(self.max_cycles)
-            .noc(noc);
-        #[cfg(feature = "faults")]
-        let builder = if self.fault_rate > 0.0 {
-            builder.faults(disco_faults::FaultPlan::uniform(
-                self.seed ^ 0xfa17,
-                self.fault_rate,
-            ))
-        } else {
-            builder
-        };
-        builder
-    }
-
-    /// Rough cycle count this job will simulate: the explicit budget if
-    /// set, otherwise an empirical multiple of the trace length.
-    pub fn estimated_cycles(&self) -> u64 {
-        if self.max_cycles > 0 {
-            self.max_cycles
-        } else {
-            self.trace_len as u64 * 20
-        }
-    }
 }
 
 /// A parsed queue file.
@@ -140,37 +95,11 @@ pub fn injection_sites(tiles: usize) -> u64 {
     5 * tiles as u64
 }
 
-/// Expected fault injections of a run: rate × cycles × sites.
-/// (Shared with the DSE driver; see [`disco_pareto::exec`].)
-pub use disco_pareto::exec::expected_injections;
-
-/// The structured warning for the silent "0 faults injected looks like
-/// 100% recovery" trap: a positive fault rate whose expected injection
-/// count rounds to ~0 over the run needs a long-run/resume simulation,
-/// not a bench-length one. Returns a single JSON line, or `None` when
-/// the configuration is sound. (Shared with the DSE driver.)
-pub use disco_pareto::exec::injection_warning;
-
 fn job_name_ok(name: &str) -> bool {
     !name.is_empty()
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.')
-}
-
-fn lookup<T: Copy>(
-    what: &str,
-    value: &str,
-    all: &[T],
-    name: impl Fn(T) -> &'static str,
-) -> Result<T, String> {
-    all.iter()
-        .copied()
-        .find(|&v| name(v).eq_ignore_ascii_case(value))
-        .ok_or_else(|| {
-            let names: Vec<_> = all.iter().map(|&v| name(v)).collect();
-            format!("unknown {what} {value:?} (one of: {})", names.join(", "))
-        })
 }
 
 fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
@@ -186,89 +115,43 @@ fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
             ctx("name")
         ));
     }
-    let mesh = obj.get("mesh").and_then(Json::as_u64);
-    let cols = obj
-        .get("cols")
-        .and_then(Json::as_u64)
-        .or(mesh)
-        .ok_or_else(|| format!("{} (or mesh) missing", ctx("cols")))? as usize;
-    let rows = obj
-        .get("rows")
-        .and_then(Json::as_u64)
-        .or(mesh)
-        .ok_or_else(|| format!("{} (or mesh) missing", ctx("rows")))? as usize;
-    if cols < 2 || rows < 2 {
+    let mut spec = SimSpec::default();
+    for field in &FIELDS {
+        let key = field.key;
+        // `mesh` is shorthand for equal `cols` and `rows`.
+        let (given, value) = match obj.get(key) {
+            None if key == "cols" || key == "rows" => ("mesh", obj.get("mesh")),
+            value => (key, value),
+        };
+        match value {
+            Some(value) => spec
+                .set(key, value)
+                .map_err(|e| format!("{} {e}", ctx(given)))?,
+            None if given == "mesh" => return Err(format!("{} (or mesh) missing", ctx(key))),
+            None if key == "trace_len" => return Err(format!("{} missing", ctx(key))),
+            None => {}
+        }
+    }
+    if spec.cols < 2 || spec.rows < 2 {
         return Err(format!("{}: grid must be at least 2x2", ctx("mesh")));
     }
-    let field_str = |field: &str, default: &'static str| {
-        obj.get(field)
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{} must be a string", ctx(field)))
-            })
-            .unwrap_or_else(|| Ok(default.to_string()))
-    };
-    let topology = lookup(
-        "topology",
-        &field_str("topology", "mesh")?,
-        &TopologyChoice::ALL,
-        TopologyChoice::name,
-    )?;
-    let placement = lookup(
-        "placement",
-        &field_str("placement", "disco")?,
-        &CompressionPlacement::ALL,
-        CompressionPlacement::name,
-    )?;
-    let scheme = lookup(
-        "scheme",
-        &field_str("scheme", "Delta")?,
-        &SchemeKind::ALL,
-        SchemeKind::name,
-    )?;
-    let benchmark = lookup(
-        "benchmark",
-        &field_str("benchmark", "blackscholes")?,
-        &Benchmark::ALL,
-        Benchmark::name,
-    )?;
-    let trace_len = obj
-        .get("trace_len")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{} missing", ctx("trace_len")))? as usize;
-    if trace_len == 0 {
-        return Err(format!("{} must be positive", ctx("trace_len")));
-    }
-    let seed = obj.get("seed").and_then(Json::as_u64).unwrap_or(1);
-    let compute_shards = obj
-        .get("compute_shards")
-        .and_then(Json::as_u64)
-        .unwrap_or(1) as usize;
-    let max_cycles = obj.get("max_cycles").and_then(Json::as_u64).unwrap_or(0);
-    let fault_rate = obj.get("fault_rate").and_then(Json::as_f64).unwrap_or(0.0);
-    if fault_rate < 0.0 {
-        return Err(format!("{} must be non-negative", ctx("fault_rate")));
-    }
-    if fault_rate > 0.0 && !cfg!(feature = "faults") {
+    if spec.fault_rate > 0.0 && !cfg!(feature = "faults") {
         return Err(format!(
             "{}: fault injection needs a `--features faults` build",
             ctx("fault_rate")
         ));
     }
+    let compute_shards = match obj.get("compute_shards") {
+        None => 1,
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| format!("{} must be a non-negative integer", ctx("compute_shards")))?,
+    };
     Ok(JobSpec {
         name,
-        cols,
-        rows,
-        topology,
-        placement,
-        scheme,
-        benchmark,
-        trace_len,
-        seed,
+        spec,
         compute_shards,
-        max_cycles,
-        fault_rate,
     })
 }
 
@@ -277,11 +160,13 @@ fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
 /// injections over its estimated length.
 pub fn parse_queue(text: &str) -> Result<(ServeConfig, Vec<String>), String> {
     let root = json::parse(text)?;
-    let checkpoint_every = root
-        .get("checkpoint_every")
-        .and_then(Json::as_u64)
-        .unwrap_or(2_000)
-        .max(1);
+    let checkpoint_every = match root.get("checkpoint_every") {
+        None => 2_000,
+        Some(v) => v
+            .as_u64()
+            .ok_or("checkpoint_every must be a non-negative integer")?
+            .max(1),
+    };
     let jobs_json = root
         .get("jobs")
         .and_then(Json::as_arr)
@@ -299,12 +184,14 @@ pub fn parse_queue(text: &str) -> Result<(ServeConfig, Vec<String>), String> {
         {
             return Err(format!("duplicate job name {:?}", job.name));
         }
-        if let Some(w) = injection_warning(
-            &job.name,
-            job.fault_rate,
-            job.estimated_cycles(),
-            injection_sites(job.cols * job.rows),
-        ) {
+        // The explicit budget if set, else an empirical multiple of the
+        // trace length.
+        let cycles = match job.spec.max_cycles {
+            0 => job.spec.trace_len as u64 * 20,
+            budget => budget,
+        };
+        let sites = injection_sites(job.spec.cols * job.spec.rows);
+        if let Some(w) = injection_warning(&job.name, job.spec.fault_rate, cycles, sites) {
             warnings.push(w);
         }
         jobs.push(job);
@@ -425,7 +312,7 @@ fn run_job(
     if files.stats.exists() {
         return JobOutcome::AlreadyDone;
     }
-    let builder = job.builder();
+    let builder = job.spec.builder(job.compute_shards);
     let mut sys = match fs::read(&files.checkpoint) {
         Ok(bytes) => match System::restore_with(&bytes, &builder) {
             Ok(sys) => {
@@ -503,9 +390,10 @@ fn run_job(
     }
 }
 
-/// Runs the queue. Jobs fan round-robin across `threads` workers; each
-/// worker processes its jobs in submission order. Returns the outcome
-/// tally (the binary turns `failed > 0` into a failing exit code).
+/// Runs the queue. Jobs fan round-robin across `threads` workers
+/// ([`fan_out`]); each worker processes its jobs in submission order.
+/// Returns the outcome tally (the binary turns `failed > 0` into a
+/// failing exit code).
 pub fn serve(cfg: &ServeConfig, opts: &ServeOpts) -> Result<ServeSummary, String> {
     fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.out_dir.display()))?;
@@ -514,55 +402,12 @@ pub fn serve(cfg: &ServeConfig, opts: &ServeOpts) -> Result<ServeSummary, String
         Some(n) => i64::try_from(n).unwrap_or(i64::MAX),
         None => i64::MAX,
     });
-    let threads = opts.threads.max(1).min(cfg.jobs.len().max(1));
-    let outcomes: Vec<(JobOutcome, bool)> = if threads <= 1 {
-        cfg.jobs
-            .iter()
-            .map(|job| {
-                let files = JobFiles::new(&opts.out_dir, &job.name);
-                let mut resumed = false;
-                let o = run_job(job, &files, cfg.checkpoint_every, &budget, &mut resumed);
-                (o, resumed)
-            })
-            .collect()
-    } else {
-        let mut indexed: Vec<(usize, (JobOutcome, bool))> = Vec::with_capacity(cfg.jobs.len());
-        std::thread::scope(|s| {
-            let budget = &budget;
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        cfg.jobs
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(threads)
-                            .map(|(i, job)| {
-                                let files = JobFiles::new(&opts.out_dir, &job.name);
-                                let mut resumed = false;
-                                let o = run_job(
-                                    job,
-                                    &files,
-                                    cfg.checkpoint_every,
-                                    budget,
-                                    &mut resumed,
-                                );
-                                (i, (o, resumed))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => indexed.extend(part),
-                    Err(_) => panic!("serve worker panicked"),
-                }
-            }
-        });
-        indexed.sort_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, o)| o).collect()
-    };
+    let outcomes = fan_out(&cfg.jobs, opts.threads, |job| {
+        let files = JobFiles::new(&opts.out_dir, &job.name);
+        let mut resumed = false;
+        let outcome = run_job(job, &files, cfg.checkpoint_every, &budget, &mut resumed);
+        (outcome, resumed)
+    });
     let mut summary = ServeSummary::default();
     for (outcome, resumed) in outcomes {
         if resumed {
@@ -582,6 +427,7 @@ pub fn serve(cfg: &ServeConfig, opts: &ServeOpts) -> Result<ServeSummary, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disco_core::CompressionPlacement;
 
     fn queue_text() -> &'static str {
         r#"{
@@ -601,8 +447,8 @@ mod tests {
         assert_eq!(cfg.checkpoint_every, 500);
         assert_eq!(cfg.jobs.len(), 2);
         assert_eq!(cfg.jobs[0].name, "a");
-        assert_eq!(cfg.jobs[0].placement, CompressionPlacement::Disco);
-        assert_eq!(cfg.jobs[1].placement, CompressionPlacement::Baseline);
+        assert_eq!(cfg.jobs[0].spec.placement, CompressionPlacement::Disco);
+        assert_eq!(cfg.jobs[1].spec.placement, CompressionPlacement::Baseline);
         assert!(warnings.is_empty());
     }
 
@@ -624,6 +470,33 @@ mod tests {
         assert!(parse_queue(bad_name).unwrap_err().contains("file-safe"));
         assert!(parse_queue("{}").is_err());
         assert!(parse_queue("not json").is_err());
+        // A mistyped value is an error naming its field, never a default.
+        for (fields, bad) in [
+            (r#""mesh": 2, "seed": "7""#, "seed"),
+            (r#""mesh": 2, "seed": 1.5"#, "seed"),
+            (r#""mesh": 2, "seed": 18446744073709551616"#, "seed"),
+            (r#""mesh": 2, "max_cycles": -1"#, "max_cycles"),
+            (r#""mesh": 2, "fault_rate": "0.1""#, "fault_rate"),
+            (r#""mesh": 2, "fault_rate": -0.5"#, "fault_rate"),
+            (r#""mesh": 2, "vcs": 0"#, "vcs"),
+            (r#""mesh": 2, "buffer_depth": true"#, "buffer_depth"),
+            (r#""mesh": 2, "cc_threshold": null"#, "cc_threshold"),
+            (r#""mesh": 2, "compute_shards": 1.0"#, "compute_shards"),
+            (r#""mesh": "4""#, "mesh"),
+            (r#""cols": 2, "rows": 2.5"#, "rows"),
+        ] {
+            let queue = format!(r#"{{"jobs": [{{"name": "x", "trace_len": 10, {fields}}}]}}"#);
+            let e = parse_queue(&queue).expect_err(&queue);
+            assert!(e.starts_with(&format!("jobs[0].{bad} ")), "{queue}: {e}");
+        }
+        let e = parse_queue(
+            r#"{"checkpoint_every": "x", "jobs": [{"name": "x", "mesh": 2, "trace_len": 10}]}"#,
+        )
+        .unwrap_err();
+        assert!(e.contains("checkpoint_every"), "{e}");
+        let dup_key =
+            r#"{"jobs": [{"name": "x", "mesh": 2, "trace_len": 10, "seed": 1, "seed": 2}]}"#;
+        assert!(parse_queue(dup_key).unwrap_err().contains("duplicate key"));
     }
 
     #[test]

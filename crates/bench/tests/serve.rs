@@ -214,3 +214,128 @@ fn validate_only_checks_the_queue_without_simulating() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cols"));
 }
+
+/// A design point is a spec: a point row of a smoke exploration's
+/// frontier JSON, given a name and its space's grid, trace length and
+/// seed, is a valid queue job, and serving it reproduces pareto's run
+/// of the point byte for byte. Every value of every enum axis and the
+/// float and integer edge values survive the same render → parse trip.
+#[test]
+fn pareto_point_replays_as_a_serve_job() {
+    use disco_bench::serve::{parse_queue, serve, ServeOpts};
+    use disco_pareto::driver::simulate;
+    use disco_pareto::spec::{SimSpec, FIELDS};
+    use disco_pareto::{explore, DesignSpace, ExploreConfig};
+
+    let space = DesignSpace::smoke();
+    let frontier_json = explore(&ExploreConfig::new(space.clone()))
+        .json
+        .expect("complete");
+    // The last smoke point: DISCO on the express mesh, with non-default
+    // buffer depth and explicit thresholds.
+    let point = *space.points().last().expect("non-empty space");
+    let row = frontier_json
+        .lines()
+        .find(|l| {
+            l.trim_start()
+                .starts_with(&format!("{{\"id\":{},", point.id))
+        })
+        .expect("point row rendered")
+        .trim()
+        .trim_end_matches(',');
+    let queue = format!(
+        r#"{{"checkpoint_every": 400, "jobs": [{{"name": "replay", "cols": {}, "rows": {}, "trace_len": {}, "seed": {}, {}]}}"#,
+        space.cols,
+        space.rows,
+        space.trace_len,
+        space.seed,
+        &row[1..],
+    );
+    let (cfg, warnings) = parse_queue(&queue).expect("a rendered point is a valid job");
+    assert!(warnings.is_empty());
+    assert_eq!(cfg.jobs[0].spec, point.spec);
+
+    let dirs = Dirs::new("replay");
+    let out_dir = dirs.out("out");
+    let opts = ServeOpts {
+        out_dir: out_dir.clone(),
+        threads: 1,
+        max_chunks: None,
+    };
+    let summary = serve(&cfg, &opts).expect("serves");
+    assert_eq!(summary.completed, 1, "{summary:?}");
+    let (_, pareto_stats) = simulate(&point.spec, 1).expect("point runs");
+    assert_eq!(stats_of(&out_dir, "replay"), pareto_stats);
+
+    // Render → parse identity over every enum value and edge value.
+    let edges = [
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        0.1,
+        1.0 / 3.0,
+        -2.5e17,
+        f64::MAX,
+        f64::MIN,
+    ];
+    let mut specs = Vec::new();
+    for (i, &x) in edges.iter().enumerate() {
+        specs.push(SimSpec {
+            cc_threshold: x,
+            cd_threshold: edges[(i + 1) % edges.len()],
+            gamma: edges[(i + 2) % edges.len()],
+            alpha: edges[(i + 3) % edges.len()],
+            beta: edges[(i + 4) % edges.len()],
+            ..point.spec
+        });
+    }
+    for seed in [(1 << 53) + 1, u64::MAX] {
+        specs.push(SimSpec {
+            seed,
+            max_cycles: seed,
+            ..point.spec
+        });
+    }
+    for topology in disco_noc::TopologyChoice::ALL {
+        specs.push(SimSpec {
+            topology,
+            ..point.spec
+        });
+    }
+    for placement in disco_core::CompressionPlacement::ALL {
+        specs.push(SimSpec {
+            placement,
+            ..point.spec
+        });
+    }
+    for scheme in disco_compress::SchemeKind::ALL {
+        specs.push(SimSpec {
+            scheme,
+            ..point.spec
+        });
+    }
+    for benchmark in disco_workloads::Benchmark::ALL {
+        specs.push(SimSpec {
+            benchmark,
+            ..point.spec
+        });
+    }
+    let keys: Vec<&str> = FIELDS.iter().map(|f| f.key).collect();
+    let jobs: Vec<String> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| format!("{{\"name\":\"s{i}\",{}}}", s.json_members(&keys)))
+        .collect();
+    let (cfg, _) =
+        parse_queue(&format!("{{\"jobs\":[{}]}}", jobs.join(","))).expect("rendered specs parse");
+    for (job, spec) in cfg.jobs.iter().zip(&specs) {
+        assert_eq!(job.spec, *spec);
+        assert_eq!(
+            job.spec.json_members(&keys),
+            spec.json_members(&keys),
+            "{}: float bits must survive",
+            job.name
+        );
+    }
+}

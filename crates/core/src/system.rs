@@ -1429,6 +1429,20 @@ impl SimBuilder {
         self
     }
 
+    /// Arms [`FaultPlan::uniform`](disco_faults::FaultPlan::uniform) for
+    /// a positive `rate`. Unlike `faults` it exists in every build, so a
+    /// configuration held as plain data can carry a fault rate; a
+    /// positive rate without the `faults` feature panics.
+    pub fn uniform_faults(self, seed: u64, rate: f64) -> Self {
+        if rate <= 0.0 {
+            return self;
+        }
+        #[cfg(not(feature = "faults"))]
+        panic!("fault rate {rate} (seed {seed}) needs the `faults` feature");
+        #[cfg(feature = "faults")]
+        self.faults(disco_faults::FaultPlan::uniform(seed, rate))
+    }
+
     /// Bank parameters (the `compressed` flag is overridden by the
     /// placement).
     pub fn bank(mut self, bank: BankConfig) -> Self {
@@ -1896,6 +1910,16 @@ impl SimBuilder {
         diff("scheme", &self.scheme, &requested.scheme)?;
         diff("seed", &self.seed, &requested.seed)?;
         diff("trace_len", &self.trace_len, &requested.trace_len)?;
+        diff("profile", &self.profile, &requested.profile)?;
+        diff("vcs", &self.noc.vcs, &requested.noc.vcs)?;
+        diff(
+            "buffer_depth",
+            &self.noc.buffer_depth,
+            &requested.noc.buffer_depth,
+        )?;
+        diff("disco_params", &self.disco, &requested.disco)?;
+        #[cfg(feature = "faults")]
+        diff("fault_plan", &self.fault_plan, &requested.fault_plan)?;
         Ok(())
     }
 }
@@ -1932,8 +1956,10 @@ impl System {
 
     /// Like [`System::restore`], but first verifies the snapshot's
     /// embedded configuration matches `requested` on every run-defining
-    /// axis (topology, placement, scheme, seed, trace length), so a job
-    /// runner cannot silently resume the wrong simulation.
+    /// axis (grid, topology, placement, scheme, seed, trace length,
+    /// workload profile, VCs, buffer depth, DISCO parameters and, with
+    /// `faults`, the fault plan), so a job runner cannot silently resume
+    /// the wrong simulation.
     ///
     /// # Errors
     ///
@@ -2482,14 +2508,42 @@ mod tests {
         let mut sys = builder.build();
         let _ = sys.step_until(200).expect("within budget");
         let bytes = sys.snapshot();
-        let err = match System::restore_with(&bytes, &builder.clone().mesh(4, 4)) {
-            Err(e) => e,
-            Ok(_) => panic!("4x4 is not this snapshot's topology"),
-        };
-        assert!(matches!(
-            err,
-            SimError::SnapshotConfigMismatch { field: "cols", .. }
-        ));
+        let noc = NocConfig::default();
+        #[allow(unused_mut)]
+        let mut cases = vec![
+            ("cols", builder.clone().mesh(4, 4)),
+            ("profile", builder.clone().benchmark(Benchmark::Dedup)),
+            ("vcs", builder.clone().noc(NocConfig { vcs: 4, ..noc })),
+            (
+                "buffer_depth",
+                builder.clone().noc(NocConfig {
+                    buffer_depth: 2,
+                    ..noc
+                }),
+            ),
+            (
+                "disco_params",
+                builder.clone().disco_params(DiscoParams {
+                    cc_threshold: 0.25,
+                    ..DiscoParams::default()
+                }),
+            ),
+        ];
+        #[cfg(feature = "faults")]
+        cases.push(("fault_plan", builder.clone().uniform_faults(3, 1e-3)));
+        for (field, requested) in cases {
+            match System::restore_with(&bytes, &requested) {
+                Err(SimError::SnapshotConfigMismatch { field: f, .. }) => assert_eq!(f, field),
+                Err(e) => panic!("{field}: wrong error {e}"),
+                Ok(_) => panic!("{field}: a differing {field} must be refused"),
+            }
+        }
+        // Sharding and the cycle budget may differ.
+        let resharded = builder.clone().max_cycles(1_000_000).noc(NocConfig {
+            compute_shards: 4,
+            ..noc
+        });
+        assert!(System::restore_with(&bytes, &resharded).is_ok());
         assert!(System::restore_with(&bytes, &builder).is_ok());
     }
 

@@ -10,15 +10,14 @@
 
 use std::path::PathBuf;
 
-use disco_core::{CompressionPlacement, SimBuilder};
+use disco_core::{CompressionPlacement, SimError, SimReport};
 use disco_energy::AreaModel;
-use disco_noc::NocConfig;
 
 use crate::exec::{fan_out, oversubscription_warning, run_point_checked};
 use crate::frontier::{self, Frontier};
 use crate::journal::{Journal, JournalEntry};
-use crate::json::json_escape;
 use crate::space::{DesignPoint, DesignSpace};
+use crate::spec::{float, quoted, SimSpec};
 
 /// One exploration request.
 #[derive(Debug, Clone)]
@@ -112,7 +111,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
     let mut completed = 0;
     for chunk in pending.chunks(CHUNK.max(cfg.workers)) {
-        let entries = fan_out(chunk, cfg.workers, |p| run_point(&cfg.space, p, cfg.shards));
+        let entries = fan_out(chunk, cfg.workers, |p| run_point(p, cfg.shards));
         if let Some(j) = &journal {
             j.append(&entries);
         }
@@ -142,33 +141,22 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
     }
 }
 
+/// Runs `spec` to completion with `compute_shards` kernel shards —
+/// the run every design point gets — returning the report and its
+/// rendered stats file.
+pub fn simulate(spec: &SimSpec, compute_shards: usize) -> Result<(SimReport, Vec<u8>), SimError> {
+    let report = spec.builder(compute_shards).run()?;
+    let mut stats = Vec::new();
+    report.write_stats(&mut stats).expect("in-memory write");
+    Ok((report, stats))
+}
+
 /// Simulates one point: the serial reference run, optionally re-run
 /// sharded for the divergence check, then objectives + energy breakdown.
-fn run_point(space: &DesignSpace, point: &DesignPoint, shards: usize) -> JournalEntry {
-    let run = |compute_shards: usize| {
-        let noc = NocConfig {
-            vcs: point
-                .vcs
-                .max(point.topology.build(space.cols, space.rows).min_vcs()),
-            buffer_depth: point.buffer_depth,
-            compute_shards,
-            ..NocConfig::default()
-        };
-        let report = SimBuilder::new()
-            .mesh(space.cols, space.rows)
-            .topology(point.topology)
-            .placement(point.placement)
-            .scheme(point.scheme)
-            .benchmark(point.benchmark)
-            .trace_len(space.trace_len)
-            .seed(space.seed)
-            .disco_params(point.disco_params())
-            .noc(noc)
-            .run()
-            .unwrap_or_else(|e| panic!("point {} ({}) failed: {e:?}", point.id, point.label()));
-        let mut stats = Vec::new();
-        report.write_stats(&mut stats).expect("in-memory write");
-        (report, stats)
+fn run_point(point: &DesignPoint, shards: usize) -> JournalEntry {
+    let run = |compute_shards| {
+        simulate(&point.spec, compute_shards)
+            .unwrap_or_else(|e| panic!("point {} ({}) failed: {e:?}", point.id, point.spec.label()))
     };
     let (report, deterministic) = if shards > 1 {
         let ((report, _), agreed) =
@@ -183,7 +171,7 @@ fn run_point(space: &DesignSpace, point: &DesignPoint, shards: usize) -> Journal
         id: point.id,
         latency: report.avg_onchip_latency(),
         pj_per_cycle: er.pj_per_cycle(),
-        area_mm2: added_area(space, point),
+        area_mm2: added_area(&point.spec),
         noc_dynamic_pj: er.breakdown.noc_dynamic_pj,
         noc_static_pj: er.breakdown.noc_static_pj,
         cache_dynamic_pj: er.breakdown.cache_dynamic_pj,
@@ -193,44 +181,25 @@ fn run_point(space: &DesignSpace, point: &DesignPoint, shards: usize) -> Journal
     }
 }
 
-/// Silicon this point adds over the uncompressed plain-mesh baseline:
+/// Silicon this spec adds over the uncompressed plain-mesh baseline:
 /// compression hardware per the placement's §4.3 cost, plus the
 /// express-channel overlay when the topology has long-range links.
-fn added_area(space: &DesignSpace, point: &DesignPoint) -> f64 {
-    let tiles = space.cols * space.rows;
+fn added_area(spec: &SimSpec) -> f64 {
+    let tiles = spec.cols * spec.rows;
     let model = AreaModel::default();
-    let compression = match point.placement {
+    let compression = match spec.placement {
         CompressionPlacement::Baseline | CompressionPlacement::Ideal => 0.0,
         CompressionPlacement::CacheOnly => model.cc(tiles).added_mm2,
         CompressionPlacement::CacheAndNi => model.cnc(tiles).added_mm2,
         CompressionPlacement::Disco => model.disco(tiles).added_mm2,
     };
-    let topo = point.topology.build(space.cols, space.rows);
+    let topo = spec.topology.build(spec.cols, spec.rows);
     compression + model.express(tiles, topo.express_link_count()).added_mm2
 }
 
-fn floats(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v:?}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn names<T: Copy>(values: &[T], name: impl Fn(T) -> &'static str) -> String {
-    values
-        .iter()
-        .map(|&v| format!("\"{}\"", json_escape(name(v))))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn ints(values: &[usize]) -> String {
-    values
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn list<T>(values: &[T], render: impl Fn(&T) -> String) -> String {
+    let items: Vec<String> = values.iter().map(render).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Renders the versioned frontier JSON. Every declared axis of
@@ -245,73 +214,50 @@ fn render(
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n  \"format\": \"disco-pareto/1\",\n  \"space\": {\n");
-    let _ = writeln!(out, "    \"cols\": {},", space.cols);
-    let _ = writeln!(out, "    \"rows\": {},", space.rows);
-    let _ = writeln!(out, "    \"trace_len\": {},", space.trace_len);
-    let _ = writeln!(out, "    \"seed\": {},", space.seed);
-    let _ = writeln!(
-        out,
-        "    \"topologies\": [{}],",
-        names(&space.topologies, |t| t.name())
-    );
-    let _ = writeln!(out, "    \"vcs\": [{}],", ints(&space.vcs));
-    let _ = writeln!(
-        out,
-        "    \"buffer_depths\": [{}],",
-        ints(&space.buffer_depths)
-    );
-    let _ = writeln!(
-        out,
-        "    \"placements\": [{}],",
-        names(&space.placements, |p| p.name())
-    );
-    let _ = writeln!(
-        out,
-        "    \"schemes\": [{}],",
-        names(&space.schemes, |s| s.name())
-    );
-    let _ = writeln!(
-        out,
-        "    \"cc_thresholds\": [{}],",
-        floats(&space.cc_thresholds)
-    );
-    let _ = writeln!(
-        out,
-        "    \"cd_thresholds\": [{}],",
-        floats(&space.cd_thresholds)
-    );
-    let _ = writeln!(out, "    \"gammas\": [{}],", floats(&space.gammas));
-    let _ = writeln!(out, "    \"alphas\": [{}],", floats(&space.alphas));
-    let _ = writeln!(out, "    \"betas\": [{}],", floats(&space.betas));
-    let _ = writeln!(
-        out,
-        "    \"benchmarks\": [{}]",
-        names(&space.benchmarks, |b| b.name())
-    );
+    let axes = [
+        ("\"cols\"", space.cols.to_string()),
+        ("\"rows\"", space.rows.to_string()),
+        ("\"trace_len\"", space.trace_len.to_string()),
+        ("\"seed\"", space.seed.to_string()),
+        (
+            "\"topologies\"",
+            list(&space.topologies, |t| quoted(t.name())),
+        ),
+        ("\"vcs\"", list(&space.vcs, usize::to_string)),
+        (
+            "\"buffer_depths\"",
+            list(&space.buffer_depths, usize::to_string),
+        ),
+        (
+            "\"placements\"",
+            list(&space.placements, |p| quoted(p.name())),
+        ),
+        ("\"schemes\"", list(&space.schemes, |s| quoted(s.name()))),
+        ("\"cc_thresholds\"", list(&space.cc_thresholds, float)),
+        ("\"cd_thresholds\"", list(&space.cd_thresholds, float)),
+        ("\"gammas\"", list(&space.gammas, float)),
+        ("\"alphas\"", list(&space.alphas, float)),
+        ("\"betas\"", list(&space.betas, float)),
+        (
+            "\"benchmarks\"",
+            list(&space.benchmarks, |b| quoted(b.name())),
+        ),
+    ];
+    for (i, (key, value)) in axes.iter().enumerate() {
+        let comma = if i + 1 < axes.len() { "," } else { "" };
+        let _ = writeln!(out, "    {key}: {value}{comma}");
+    }
     out.push_str("  },\n  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let e = &done[&p.id];
         let _ = write!(
             out,
-            "    {{\"id\":{},\"topology\":\"{}\",\"vcs\":{},\"buffer_depth\":{},\
-             \"placement\":\"{}\",\"scheme\":\"{}\",\"cc_threshold\":{:?},\
-             \"cd_threshold\":{:?},\"gamma\":{:?},\"alpha\":{:?},\"beta\":{:?},\
-             \"benchmark\":\"{}\",\"latency\":{:?},\"pj_per_cycle\":{:?},\
+            "    {{\"id\":{},{},\"latency\":{:?},\"pj_per_cycle\":{:?},\
              \"area_mm2\":{:?},\"energy\":{{\"noc_dynamic_pj\":{:?},\
              \"noc_static_pj\":{:?},\"cache_dynamic_pj\":{:?},\"cache_static_pj\":{:?},\
              \"compressor_pj\":{:?}}},\"deterministic\":{}}}",
             p.id,
-            json_escape(p.topology.name()),
-            p.vcs,
-            p.buffer_depth,
-            json_escape(p.placement.name()),
-            json_escape(p.scheme.name()),
-            p.cc_threshold,
-            p.cd_threshold,
-            p.gamma,
-            p.alpha,
-            p.beta,
-            json_escape(p.benchmark.name()),
+            p.spec.json_members(&DesignPoint::KEYS),
             e.latency,
             e.pj_per_cycle,
             e.area_mm2,

@@ -4,7 +4,8 @@
 //! kill landed mid-write) is tolerated and simply re-run.
 //!
 //! Floats are journaled with Rust's shortest-roundtrip `{:?}` formatting
-//! and parsed back with `f64::from_str`, which recovers the exact bits —
+//! and parsed back from their exact source token, which recovers the
+//! exact bits —
 //! a resumed exploration therefore renders byte-identical output to an
 //! uninterrupted one.
 
@@ -14,7 +15,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use crate::frontier::Objectives;
-use crate::json::parse_flat_object;
+use crate::json;
 
 /// Writes `bytes` to `path` atomically: write a `.tmp` sibling, then
 /// rename over the destination. Readers never observe a half-written
@@ -89,10 +90,10 @@ impl JournalEntry {
     /// Parses one journal line. `None` on anything malformed — a
     /// truncated tail after a kill is data, not a bug.
     pub fn parse_line(line: &str) -> Option<Self> {
-        let map = parse_flat_object(line)?;
-        let f = |k: &str| map.get(k)?.parse::<f64>().ok().filter(|v| v.is_finite());
+        let obj = json::parse(line).ok()?;
+        let f = |k: &str| obj.get(k)?.as_f64();
         Some(JournalEntry {
-            id: map.get("id")?.parse().ok()?,
+            id: obj.get("id")?.as_u64()?,
             latency: f("latency")?,
             pj_per_cycle: f("pj_per_cycle")?,
             area_mm2: f("area_mm2")?,
@@ -101,11 +102,7 @@ impl JournalEntry {
             cache_dynamic_pj: f("cache_dynamic_pj")?,
             cache_static_pj: f("cache_static_pj")?,
             compressor_pj: f("compressor_pj")?,
-            deterministic: match map.get("deterministic")?.as_str() {
-                "true" => true,
-                "false" => false,
-                _ => return None,
-            },
+            deterministic: obj.get("deterministic")?.as_bool()?,
         })
     }
 }

@@ -15,6 +15,9 @@
 //!
 //! The moving parts:
 //!
+//! - [`spec`] — one simulation as plain data ([`SimSpec`]), the one
+//!   place it becomes a `SimBuilder`, and the one table of its JSON keys
+//!   (shared with the `disco-serve` queue format).
 //! - [`space`] — the declared axes and their deterministic cartesian
 //!   enumeration (ids are enumeration order, forever).
 //! - [`exec`] — the worker fan-out (shared with `disco-bench`'s sweep
@@ -22,6 +25,7 @@
 //! - [`frontier`] — weak/epsilon dominance and the frontier census.
 //! - [`journal`] — append-only JSONL of completed points; a killed
 //!   exploration resumes without re-running them.
+//! - [`json`] — the workspace's one JSON reader, and string escaping.
 //! - [`driver`] — runs the points, journals, and renders the versioned
 //!   `disco-pareto/1` frontier JSON.
 //!
@@ -36,8 +40,10 @@ pub mod frontier;
 pub mod journal;
 pub mod json;
 pub mod space;
+pub mod spec;
 
 pub use driver::{explore, ExploreConfig, ExploreOutcome};
 pub use frontier::{dominates, epsilon_dominates, Frontier, Objectives};
 pub use journal::{write_atomic, Journal, JournalEntry};
 pub use space::{DesignPoint, DesignSpace};
+pub use spec::SimSpec;

@@ -13,9 +13,11 @@
 //! same simulation.
 
 use disco_compress::SchemeKind;
-use disco_core::{CompressionPlacement, DiscoParams};
+use disco_core::CompressionPlacement;
 use disco_noc::TopologyChoice;
 use disco_workloads::Benchmark;
+
+use crate::spec::SimSpec;
 
 /// The declared axes of one exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,57 +63,28 @@ pub struct DesignPoint {
     /// Enumeration-order id — the stable key of the journal and the
     /// frontier JSON.
     pub id: u64,
-    /// NoC topology.
-    pub topology: TopologyChoice,
-    /// Declared VCs per input port.
-    pub vcs: usize,
-    /// Buffer depth per VC, flits.
-    pub buffer_depth: usize,
-    /// Compression placement.
-    pub placement: CompressionPlacement,
-    /// Codec.
-    pub scheme: SchemeKind,
-    /// `CC_th`.
-    pub cc_threshold: f64,
-    /// `CD_th`.
-    pub cd_threshold: f64,
-    /// γ (Eq. 1 local coefficient).
-    pub gamma: f64,
-    /// α (Eq. 2 local coefficient).
-    pub alpha: f64,
-    /// β (Eq. 2 distance coefficient).
-    pub beta: f64,
-    /// Workload.
-    pub benchmark: Benchmark,
+    /// The simulation this point runs.
+    pub spec: SimSpec,
 }
 
 impl DesignPoint {
-    /// The DISCO arbitration parameters this point requests (defaults
-    /// for everything the space does not sweep). Meaningful only when
-    /// `placement` is DISCO; harmless otherwise.
-    pub fn disco_params(&self) -> DiscoParams {
-        DiscoParams {
-            cc_threshold: self.cc_threshold,
-            cd_threshold: self.cd_threshold,
-            gamma: self.gamma,
-            alpha: self.alpha,
-            beta: self.beta,
-            ..DiscoParams::default()
-        }
-    }
-
-    /// A human-readable configuration label for logs and the JSON.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/vc{}/d{}/{}/{}",
-            self.topology.name(),
-            self.placement.name(),
-            self.vcs,
-            self.buffer_depth,
-            self.scheme.name(),
-            self.benchmark.name(),
-        )
-    }
+    /// The [`SimSpec`] keys a design space sweeps, in the order each
+    /// point of the frontier JSON renders them. The others — grid, trace
+    /// length and seed — are fixed per space and rendered once in its
+    /// `space` block.
+    pub const KEYS: [&'static str; 11] = [
+        "topology",
+        "vcs",
+        "buffer_depth",
+        "placement",
+        "scheme",
+        "cc_threshold",
+        "cd_threshold",
+        "gamma",
+        "alpha",
+        "beta",
+        "benchmark",
+    ];
 }
 
 impl DesignSpace {
@@ -180,8 +153,8 @@ impl DesignSpace {
     /// value): Baseline takes one scheme slot — it compresses nothing,
     /// so codecs are indistinguishable; every non-DISCO placement takes
     /// one threshold/coefficient slot — nothing else consults
-    /// [`DiscoParams`]. Two distinct ids therefore always describe two
-    /// distinct simulations.
+    /// [`disco_core::DiscoParams`]. Two distinct ids therefore always
+    /// describe two distinct simulations.
     ///
     /// # Panics
     ///
@@ -221,20 +194,27 @@ impl DesignSpace {
                             &self.schemes[..1]
                         };
                         for &scheme in schemes {
-                            let mut push = |cc, cd, gamma, alpha, beta, bench| {
+                            let mut push = |cc, cd, gamma, alpha, beta, benchmark| {
                                 out.push(DesignPoint {
                                     id: out.len() as u64,
-                                    topology,
-                                    vcs,
-                                    buffer_depth,
-                                    placement,
-                                    scheme,
-                                    cc_threshold: cc,
-                                    cd_threshold: cd,
-                                    gamma,
-                                    alpha,
-                                    beta,
-                                    benchmark: bench,
+                                    spec: SimSpec {
+                                        cols: self.cols,
+                                        rows: self.rows,
+                                        topology,
+                                        vcs,
+                                        buffer_depth,
+                                        placement,
+                                        scheme,
+                                        cc_threshold: cc,
+                                        cd_threshold: cd,
+                                        gamma,
+                                        alpha,
+                                        beta,
+                                        benchmark,
+                                        trace_len: self.trace_len,
+                                        seed: self.seed,
+                                        ..SimSpec::default()
+                                    },
                                 });
                             };
                             if placement == CompressionPlacement::Disco {
@@ -291,11 +271,11 @@ mod tests {
         // Only DISCO points expand the threshold axis.
         let disco = points
             .iter()
-            .filter(|p| p.placement == CompressionPlacement::Disco)
+            .filter(|p| p.spec.placement == CompressionPlacement::Disco)
             .count();
         let baseline = points
             .iter()
-            .filter(|p| p.placement == CompressionPlacement::Baseline)
+            .filter(|p| p.spec.placement == CompressionPlacement::Baseline)
             .count();
         assert_eq!(disco, 2 * 2 * 3, "topologies × schemes × cc_thresholds");
         assert_eq!(baseline, 2, "one Baseline point per topology");
@@ -304,35 +284,9 @@ mod tests {
             for b in &points {
                 if a.id != b.id {
                     assert_ne!(
-                        (
-                            a.topology,
-                            a.vcs,
-                            a.buffer_depth,
-                            a.placement,
-                            a.scheme,
-                            a.cc_threshold.to_bits(),
-                            a.cd_threshold.to_bits(),
-                            a.gamma.to_bits(),
-                            a.alpha.to_bits(),
-                            a.beta.to_bits(),
-                            a.benchmark
-                        ),
-                        (
-                            b.topology,
-                            b.vcs,
-                            b.buffer_depth,
-                            b.placement,
-                            b.scheme,
-                            b.cc_threshold.to_bits(),
-                            b.cd_threshold.to_bits(),
-                            b.gamma.to_bits(),
-                            b.alpha.to_bits(),
-                            b.beta.to_bits(),
-                            b.benchmark
-                        ),
+                        a.spec, b.spec,
                         "ids {} and {} collapse to one simulation",
-                        a.id,
-                        b.id
+                        a.id, b.id
                     );
                 }
             }
@@ -352,16 +306,23 @@ mod tests {
         let points = DesignSpace::full().points();
         for t in TopologyChoice::ALL {
             assert!(
-                points.iter().any(|p| p.topology == t),
+                points.iter().any(|p| p.spec.topology == t),
                 "{} missing",
                 t.name()
             );
         }
         for pl in CompressionPlacement::ALL {
-            assert!(points.iter().any(|p| p.placement == pl), "{pl} missing");
+            assert!(
+                points.iter().any(|p| p.spec.placement == pl),
+                "{pl} missing"
+            );
         }
         for s in SchemeKind::ALL {
-            assert!(points.iter().any(|p| p.scheme == s), "{} missing", s.name());
+            assert!(
+                points.iter().any(|p| p.spec.scheme == s),
+                "{} missing",
+                s.name()
+            );
         }
     }
 }
