@@ -312,6 +312,35 @@ impl DiscoLayer {
         self.scan_slots = slots;
     }
 
+    /// How many upcoming cycles [`skip_idle`](Self::skip_idle) may stand
+    /// in for [`tick`](Self::tick), given an
+    /// [empty](Network::is_empty) network. Zero while any engine works
+    /// (its progress step must run). With `params.adaptive` it is the
+    /// distance to the cycle before the next epoch tick, so `adapt()`
+    /// still runs on its real cycle; otherwise it is unbounded. On an
+    /// empty network every other part of a tick is a no-op: an idle
+    /// engine has nothing to step, and the scan finds no loser and no
+    /// injection backlog, so it starts nothing and counts no
+    /// low-confidence rejection.
+    pub fn idle_horizon(&self) -> u64 {
+        if self.engines.iter().flatten().any(|e| e.target().is_some()) {
+            return 0;
+        }
+        if !self.params.adaptive {
+            return u64::MAX;
+        }
+        self.epoch_started
+            .saturating_add(self.params.epoch_cycles)
+            .saturating_sub(self.cycle + 1)
+    }
+
+    /// Advances the layer's clock by `cycles` without ticking; valid for
+    /// up to [`idle_horizon`](Self::idle_horizon) cycles.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        debug_assert!(cycles <= self.idle_horizon(), "skip_idle past the horizon");
+        self.cycle += cycles;
+    }
+
     /// Scan phase: fills one [`NodeScan`] per node into the shard slots,
     /// spans in node order within each slot.
     fn compute_scans(&self, net: &Network, slots: &mut [std::sync::Mutex<ScanSlot>]) {
@@ -1362,6 +1391,82 @@ mod tests {
             assert!(cc >= params.cc_threshold - 1.0 && cc <= params.cc_threshold + 4.0);
             assert!(cd >= params.cd_threshold - 1.0 && cd <= params.cd_threshold + 4.0);
         }
+    }
+
+    /// Jumping idle spans with `idle_horizon` + `skip_idle` keeps every
+    /// adaptive epoch on its real tick: the thresholds at each burst and
+    /// the final layer state equal those of a run that ticks every cycle.
+    /// Between bursts the thresholds drift back toward the base once per
+    /// epoch, so a skip that swallowed an epoch would change them.
+    #[test]
+    fn idle_skips_keep_adaptive_epochs_on_their_ticks() {
+        let params = DiscoParams {
+            adaptive: true,
+            epoch_cycles: 8,
+            // Strict enough that idling candidates get rejected, so the
+            // low-confidence branch loosens the thresholds.
+            cc_threshold: 4.0,
+            cd_threshold: 4.0,
+            ..DiscoParams::default()
+        };
+        let run = |skip: bool| {
+            let mut net = Network::new(Mesh::new(4, 1), NocConfig::default());
+            let mut layer = DiscoLayer::new(params, Codec::delta(), 4);
+            let mut at_bursts = Vec::new();
+            let mut skipped = 0;
+            for burst in 0..8u64 {
+                let start = burst * 211 + burst % 3;
+                while net.now() < start {
+                    let horizon = if net.is_empty() {
+                        layer.idle_horizon()
+                    } else {
+                        0
+                    };
+                    if skip && horizon > 0 {
+                        let k = horizon.min(start - net.now());
+                        net.skip_idle(k);
+                        layer.skip_idle(k);
+                        skipped += k;
+                    } else {
+                        net.tick();
+                        layer.tick(&mut net);
+                        for j in 0..4 {
+                            let _ = net.take_delivered(NodeId(j));
+                        }
+                    }
+                }
+                at_bursts.push(layer.effective_thresholds());
+                // Two sources converge on the east links: switch
+                // allocation losers for the arbitrator to judge.
+                for k in 0..4u64 {
+                    for src in [0, 1] {
+                        let msg = Msg::new(crate::protocol::Op::Writeback, src, k).encode();
+                        net.send(
+                            NodeId(src),
+                            NodeId(3),
+                            PacketClass::Response,
+                            Payload::Raw(compressible_line()),
+                            true,
+                            msg,
+                        );
+                    }
+                }
+            }
+            let mut w = disco_snapshot::Writer::new();
+            layer.snap_state(&mut w);
+            (at_bursts, w.into_bytes(), skipped)
+        };
+        let (ticked, ticked_state, _) = run(false);
+        let (jumped, jumped_state, skipped) = run(true);
+        assert!(
+            skipped > 100,
+            "the bursts must leave idle spans to jump: {skipped}"
+        );
+        let mut distinct = ticked.clone();
+        distinct.dedup();
+        assert!(distinct.len() > 2, "thresholds must adapt: {ticked:?}");
+        assert_eq!(jumped, ticked);
+        assert_eq!(jumped_state, ticked_state);
     }
 
     #[test]

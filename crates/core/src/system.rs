@@ -535,38 +535,82 @@ impl System {
             .sum()
     }
 
-    fn tick(&mut self) {
-        self.net.tick();
-        if let Some(mut layer) = self.disco.take() {
-            layer.tick(&mut self.net);
-            self.disco = Some(layer);
+    /// How many cycles the network and DISCO layers may jump instead of
+    /// ticking: zero unless the network is [empty](Network::is_empty),
+    /// then the DISCO layer's [`idle_horizon`](DiscoLayer::idle_horizon).
+    fn idle_horizon(&self) -> u64 {
+        if !self.net.is_empty() {
+            return 0;
         }
-        // Deliveries → events.
-        let nodes = self.tiles.len();
-        for node in 0..nodes {
-            let delivered = self.net.take_delivered(NodeId(node));
-            for pkt in delivered {
-                self.handle_delivery(node, pkt);
+        self.disco
+            .as_ref()
+            .map_or(u64::MAX, DiscoLayer::idle_horizon)
+    }
+
+    /// The next cycle at which a core or the event queue acts on its own:
+    /// the earliest due event or trace issue. A core stalled on a full
+    /// MSHR file retries every cycle, which the clamp to `now + 1` covers.
+    fn next_activity(&self) -> u64 {
+        let issue = self
+            .tiles
+            .iter()
+            .filter(|t| t.pos < t.trace.len())
+            .map(|t| t.next_issue_at);
+        let event = self.events.first_key_value().map(|(&t, _)| t);
+        issue
+            .chain(event)
+            .min()
+            .unwrap_or(u64::MAX)
+            .max(self.now() + 1)
+    }
+
+    /// Advances to the next cycle with work, never past `target` or the
+    /// cycle budget. While the network is empty no layer below the cores
+    /// can act, so the network and DISCO layers jump to the landing
+    /// cycle ([`Network::skip_idle`], [`DiscoLayer::skip_idle`]) and only
+    /// that cycle's due events and core issue run; otherwise the cycle
+    /// ticks in full. Either way the state at the landing cycle is
+    /// byte-identical to ticking every cycle up to it.
+    fn tick(&mut self, target: u64) {
+        let horizon = self.idle_horizon();
+        if horizon > 0 {
+            let now = self.now();
+            let land = self
+                .next_activity()
+                .min(target)
+                .min(self.max_cycles)
+                .min(now.saturating_add(horizon));
+            self.net.skip_idle(land - now);
+            if let Some(layer) = &mut self.disco {
+                layer.skip_idle(land - now);
+            }
+        } else {
+            self.net.tick();
+            if let Some(mut layer) = self.disco.take() {
+                layer.tick(&mut self.net);
+                self.disco = Some(layer);
+            }
+            // Deliveries → events.
+            for node in 0..self.tiles.len() {
+                let delivered = self.net.take_delivered(NodeId(node));
+                for pkt in delivered {
+                    self.handle_delivery(node, pkt);
+                }
             }
         }
         // Run due events (newly scheduled zero-delay events run this
         // cycle too).
         let now = self.now();
-        #[allow(clippy::while_let_loop)] // two-condition exit reads clearer this way
-        loop {
-            let Some((&t, _)) = self.events.iter().next() else {
-                break;
-            };
-            if t > now {
+        while let Some(due) = self.events.first_entry() {
+            if *due.key() > now {
                 break;
             }
-            let batch = self.events.remove(&t).expect("key exists");
-            for ev in batch {
+            for ev in due.remove() {
                 self.handle_event(ev);
             }
         }
         // Cores issue.
-        for core in 0..nodes {
+        for core in 0..self.tiles.len() {
             self.issue_core(core);
         }
         #[cfg(feature = "trace")]
@@ -1147,7 +1191,7 @@ impl System {
             if self.now() >= target {
                 return Ok(false);
             }
-            self.tick();
+            self.tick(target);
         }
     }
 
@@ -2460,6 +2504,77 @@ mod tests {
             .run_to_completion()
             .expect("drains");
         assert_eq!(stats_text(&unbroken), stats_text(&resumed));
+    }
+
+    /// The tiny Disco run, and its first quiescent span past cycle 1000
+    /// that is at least 20 cycles long: `(start, end)` such that the
+    /// network is empty and nothing acts in cycles `start + 1 .. end`.
+    fn quiescent_span() -> (SimBuilder, u64, u64) {
+        let builder = SimBuilder::new()
+            .mesh(2, 2)
+            .placement(CompressionPlacement::Disco)
+            .benchmark(Benchmark::Swaptions)
+            .trace_len(200)
+            .seed(5);
+        let mut sys = builder.build();
+        loop {
+            let now = sys.now();
+            assert!(
+                !sys.step_until(now + 1).expect("within budget"),
+                "no span found"
+            );
+            if now >= 1000 && sys.idle_horizon() > 0 && sys.next_activity() >= sys.now() + 20 {
+                return (builder, sys.now(), sys.next_activity());
+            }
+        }
+    }
+
+    #[test]
+    fn step_until_stops_inside_a_quiescent_span() {
+        let (builder, start, end) = quiescent_span();
+        assert_eq!(
+            (start, end),
+            (1924, 1950),
+            "the span this test was sized on"
+        );
+        let unbroken = builder.clone().run().expect("drains");
+        let target = (start + end) / 2;
+        let mut sys = builder.build();
+        assert!(!sys.step_until(target).expect("within budget"));
+        assert_eq!(sys.now(), target, "a jump must not overshoot the target");
+        assert!(sys.net.is_empty());
+        let bytes = sys.snapshot();
+        let resumed = System::restore(&bytes).expect("restores");
+        assert_eq!(resumed.snapshot(), bytes, "restore is lossless");
+        let resumed = resumed.run_to_completion().expect("drains");
+        assert_eq!(stats_text(&unbroken), stats_text(&resumed));
+    }
+
+    #[test]
+    fn deadline_inside_a_quiescent_span_reports_like_ticking() {
+        let (builder, start, end) = quiescent_span();
+        let max_cycles = (start + end) / 2;
+        let mut sys = builder.max_cycles(max_cycles).build();
+        let err = sys
+            .step_until(u64::MAX)
+            .expect_err("cannot drain in the budget");
+        assert_eq!(
+            sys.now(),
+            max_cycles,
+            "a jump must not overshoot the budget"
+        );
+        // Irrefutable without `faults` (the enum then has one variant).
+        #[allow(irrefutable_let_patterns)]
+        let SimError::DeadlineExceeded {
+            max_cycles: reported,
+            outstanding,
+            suspicious_stalls,
+        } = err
+        else {
+            panic!("expected DeadlineExceeded, got {err:?}");
+        };
+        // Recorded with a cycle loop that ticked every cycle.
+        assert_eq!((reported, outstanding, suspicious_stalls), (1937, 649, 0));
     }
 
     #[test]

@@ -350,8 +350,22 @@ impl Network {
     }
 
     /// True when no packet is queued, in flight, or awaiting pickup, and
-    /// no fault recovery (retransmission, in-progress drop) is pending.
+    /// no fault recovery (retransmission, in-progress drop) is pending:
+    /// [`Network::is_empty`], cross-checked against every router buffer
+    /// and NI queue.
     pub fn is_idle(&self) -> bool {
+        self.is_empty()
+            && self.routers.iter().all(|r| r.total_buffered() == 0)
+            && self.inject_q.iter().flatten().all(|q| q.is_empty())
+    }
+
+    /// O(1) emptiness: no packet exists anywhere in the network and no
+    /// fault recovery is pending. Every queued, buffered or delivered
+    /// flit belongs to a packet that stays in the store until
+    /// [`Network::take_delivered`], so an empty store implies empty
+    /// buffers and injection queues — and a [`Network::tick`] that can
+    /// only advance the clock (see [`Network::skip_idle`]).
+    pub fn is_empty(&self) -> bool {
         #[cfg(feature = "faults")]
         if let Some(ctx) = &self.faults {
             if !ctx.quiescent() {
@@ -359,8 +373,22 @@ impl Network {
             }
         }
         self.store.is_empty()
-            && self.routers.iter().all(|r| r.total_buffered() == 0)
-            && self.inject_q.iter().flatten().all(|q| q.is_empty())
+    }
+
+    /// Advances an empty network by `cycles` without ticking it: the
+    /// clock, the cycle counter and the trace stamp move, nothing else.
+    /// On an [`empty`](Network::is_empty) network this is exactly
+    /// `cycles` calls of [`Network::tick`]: with no flit to route, the
+    /// compute phase decides nothing, so every round-robin pointer stays
+    /// put and the loser lists stay empty; injection finds no queued
+    /// packet; and fault draws are stateless hashes of (kind, cycle,
+    /// site), so skipping a cycle consumes no randomness.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        debug_assert!(self.is_empty(), "skip_idle on a network with packets");
+        self.now += cycles;
+        self.stats.cycles += cycles;
+        #[cfg(feature = "trace")]
+        self.tracer.set_cycle(self.now);
     }
 
     /// Checks run-time invariants across every router: per-router state
@@ -805,6 +833,85 @@ mod tests {
             }
             assert_eq!(got, expected, "{choice} must deliver everything");
             assert!(n.is_idle(), "{choice} must drain");
+        }
+    }
+
+    /// `skip_idle(n)` on an empty network is exactly `n` idle ticks, on
+    /// every topology: same clock, counters and snapshot bytes, and the
+    /// same behaviour afterwards. The traffic before the span leaves the
+    /// round-robin pointers mid-rotation, so a skip that reset any of
+    /// them would show.
+    #[test]
+    fn skip_idle_equals_idle_ticks_on_every_topology() {
+        fn state(n: &Network) -> (u64, NetworkStats, Vec<u8>) {
+            let mut w = disco_snapshot::Writer::new();
+            n.snap_state(&mut w);
+            (n.now(), *n.stats(), w.into_bytes())
+        }
+        /// Traffic, an idle span, more traffic: the state at the end of
+        /// the span and at the end of the run.
+        fn drive(
+            choice: TopologyChoice,
+            idle: impl FnOnce(&mut Network),
+        ) -> [(u64, NetworkStats, Vec<u8>); 2] {
+            let topo = choice.build(4, 4);
+            let config = NocConfig {
+                vcs: topo.min_vcs().max(2),
+                ..NocConfig::default()
+            };
+            let tiles = topo.tiles();
+            let mut n = Network::new(topo, config);
+            let burst = |n: &mut Network, salt: usize| {
+                for i in 0..tiles {
+                    let line = CacheLine::from_u64_words([(i + salt) as u64; 8]);
+                    let dst = NodeId((i * 7 + salt) % tiles);
+                    n.send(
+                        NodeId(i),
+                        dst,
+                        PacketClass::Request,
+                        Payload::None,
+                        false,
+                        0,
+                    );
+                    n.send(
+                        NodeId(i),
+                        dst,
+                        PacketClass::Response,
+                        Payload::Raw(line),
+                        true,
+                        1,
+                    );
+                }
+            };
+            let drain = |n: &mut Network| {
+                while !n.is_empty() {
+                    n.tick();
+                    for j in 0..tiles {
+                        n.take_delivered(NodeId(j));
+                    }
+                    assert!(n.now() < 10_000, "{choice} must drain");
+                }
+            };
+            burst(&mut n, 3);
+            drain(&mut n);
+            idle(&mut n);
+            let at_landing = state(&n);
+            burst(&mut n, 5);
+            drain(&mut n);
+            [at_landing, state(&n)]
+        }
+        for choice in TopologyChoice::ALL {
+            let ticked = drive(choice, |n| {
+                for _ in 0..37 {
+                    n.tick();
+                }
+            });
+            let skipped = drive(choice, |n| n.skip_idle(37));
+            for (at, (s, t)) in ["landing", "end"].iter().zip(skipped.iter().zip(&ticked)) {
+                assert_eq!(s.0, t.0, "{choice} {at}: now");
+                assert_eq!(s.1, t.1, "{choice} {at}: stats");
+                assert!(s.2 == t.2, "{choice} {at}: snapshot bytes differ");
+            }
         }
     }
 
