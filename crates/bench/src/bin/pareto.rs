@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pareto --out PARETO_pr10.json [--grid smoke|full] [--workers N]
-//!        [--shards N] [--journal points.jsonl] [--max-points N]
+//!        [--journal points.jsonl] [--max-points N]
 //! ```
 //!
 //! Enumerates the declared design space, runs every point not already
@@ -29,20 +29,17 @@ struct Args {
     out: PathBuf,
     grid: DesignSpace,
     workers: usize,
-    shards: usize,
     journal: Option<PathBuf>,
     max_points: usize,
 }
 
 const USAGE: &str = "usage: pareto --out <frontier.json> [--grid smoke|full] \
-                     [--workers N] [--shards N] [--journal <points.jsonl>] \
-                     [--max-points N]";
+                     [--workers N] [--journal <points.jsonl>] [--max-points N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut grid = DesignSpace::smoke();
     let mut workers = 1;
-    let mut shards = 1;
     let mut journal = None;
     let mut max_points = 0;
     let mut it = std::env::args().skip(1);
@@ -62,11 +59,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
             }
-            "--shards" => {
-                shards = value("count")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-            }
             "--journal" => journal = Some(PathBuf::from(value("path")?)),
             "--max-points" => {
                 max_points = value("count")?
@@ -81,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
         out: out.ok_or(format!("--out is required\n{USAGE}"))?,
         grid,
         workers,
-        shards,
         journal,
         max_points,
     })
@@ -98,7 +89,6 @@ fn main() -> ExitCode {
     let cfg = ExploreConfig {
         space: args.grid,
         workers: args.workers,
-        shards: args.shards,
         journal: args.journal,
         max_points: args.max_points,
     };

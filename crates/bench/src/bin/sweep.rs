@@ -6,7 +6,7 @@
 //!
 //! `cargo run --release -p disco-bench --bin sweep -- \
 //!     [--mesh 8] [--topology mesh|ring|hring|torus|cmesh] \
-//!     [--cycles 20000] [--threads N] [--shards S] \
+//!     [--cycles 20000] [--threads N] \
 //!     [--rates 0.05,0.1,0.2,0.3] [--out BENCH_pr3.json]`
 
 use disco_bench::sweep::{pattern_name, run_sweep, PointResult, SweepPoint};
@@ -21,7 +21,6 @@ struct Args {
     topology: TopologyChoice,
     cycles: u64,
     threads: usize,
-    shards: usize,
     rates: Vec<f64>,
     out: String,
 }
@@ -32,7 +31,6 @@ fn parse_args() -> Result<Args, String> {
         topology: TopologyChoice::Mesh,
         cycles: 20_000,
         threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-        shards: 1,
         rates: vec![0.05, 0.1, 0.2, 0.3],
         out: "BENCH_pr3.json".to_string(),
     };
@@ -49,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--cycles" => args.cycles = value.parse().map_err(|_| bad("--cycles"))?,
             "--threads" => args.threads = value.parse().map_err(|_| bad("--threads"))?,
-            "--shards" => args.shards = value.parse().map_err(|_| bad("--shards"))?,
             "--rates" => {
                 args.rates = value
                     .split(',')
@@ -91,7 +88,7 @@ fn main() -> ExitCode {
         }
     };
     // Make over-subscription loud: on a host with fewer cores than
-    // requested threads/shards, the "parallel" pass measures
+    // requested threads, the "parallel" pass measures
     // time-slicing, and its speedup number is not a parallelism result
     // (this is exactly how BENCH_pr3's 0.952x on a 1-core container
     // read as a regression). `host_cores` in the JSON records the truth.
@@ -101,12 +98,6 @@ fn main() -> ExitCode {
             "sweep: WARNING: {} threads on {host_cores} host core(s) — \
              speedup will reflect time-slicing, not parallelism",
             args.threads
-        );
-    }
-    if args.shards > host_cores {
-        eprintln!(
-            "sweep: WARNING: {} kernel shards on {host_cores} host core(s)",
-            args.shards
         );
     }
     // The driver maps `seed` to `seed | 1`, so adjacent integers collide;
@@ -124,7 +115,6 @@ fn main() -> ExitCode {
                 cols: args.mesh,
                 rows: args.mesh,
                 cycles: args.cycles,
-                compute_shards: args.shards,
                 trace_capacity: 0,
             })
         })
@@ -166,12 +156,6 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"cycles_per_point\": {},", args.cycles);
     let _ = writeln!(json, "  \"threads\": {},", args.threads);
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"compute_shards\": {},", args.shards);
-    let _ = writeln!(
-        json,
-        "  \"kernel_parallel_feature\": {},",
-        cfg!(feature = "parallel")
-    );
     let _ = writeln!(json, "  \"points\": [");
     for (i, (s, f)) in serial.iter().zip(&fanned).enumerate() {
         let sep = if i + 1 < serial.len() { "," } else { "" };

@@ -77,7 +77,6 @@ fn run_topology(choice: TopologyChoice, args: &Args) -> Result<TopologyResult, S
         cols: args.mesh,
         rows: args.mesh,
         cycles: args.cycles,
-        compute_shards: 1,
         trace_capacity: 0,
     });
     let builder = SimBuilder::new()

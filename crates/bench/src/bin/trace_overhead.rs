@@ -80,7 +80,6 @@ fn points_for(args: &Args, trace_capacity: usize) -> Vec<SweepPoint> {
                 cols: args.mesh,
                 rows: args.mesh,
                 cycles: args.cycles,
-                compute_shards: 1,
                 trace_capacity,
             })
         })

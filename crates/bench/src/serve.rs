@@ -13,8 +13,8 @@
 //!
 //! Queue schema. A job's keys are the [`SimSpec`] keys
 //! ([`disco_pareto::spec::FIELDS`], the same table the frontier JSON of
-//! `pareto` renders its points with), plus `name`, the `mesh` shorthand
-//! and `compute_shards`:
+//! `pareto` renders its points with), plus `name` and the `mesh`
+//! shorthand:
 //!
 //! ```json
 //! {
@@ -37,8 +37,7 @@
 //!       "trace_len": 10000,         // required
 //!       "seed": 1,
 //!       "max_cycles": 0,            // 0 = auto budget
-//!       "fault_rate": 0.0,          // needs the `faults` feature if > 0
-//!       "compute_shards": 1
+//!       "fault_rate": 0.0           // needs the `faults` feature if > 0
 //!     }
 //!   ]
 //! }
@@ -75,8 +74,6 @@ pub struct JobSpec {
     pub name: String,
     /// The simulation.
     pub spec: SimSpec,
-    /// Kernel shard request (ignored without the `parallel` feature).
-    pub compute_shards: usize,
 }
 
 /// A parsed queue file.
@@ -141,18 +138,7 @@ fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
             ctx("fault_rate")
         ));
     }
-    let compute_shards = match obj.get("compute_shards") {
-        None => 1,
-        Some(v) => v
-            .as_u64()
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| format!("{} must be a non-negative integer", ctx("compute_shards")))?,
-    };
-    Ok(JobSpec {
-        name,
-        spec,
-        compute_shards,
-    })
+    Ok(JobSpec { name, spec })
 }
 
 /// Parses and validates a queue file. Emits the expected-injection
@@ -312,7 +298,7 @@ fn run_job(
     if files.stats.exists() {
         return JobOutcome::AlreadyDone;
     }
-    let builder = job.spec.builder(job.compute_shards);
+    let builder = job.spec.builder();
     let mut sys = match fs::read(&files.checkpoint) {
         Ok(bytes) => match System::restore_with(&bytes, &builder) {
             Ok(sys) => {
@@ -481,7 +467,6 @@ mod tests {
             (r#""mesh": 2, "vcs": 0"#, "vcs"),
             (r#""mesh": 2, "buffer_depth": true"#, "buffer_depth"),
             (r#""mesh": 2, "cc_threshold": null"#, "cc_threshold"),
-            (r#""mesh": 2, "compute_shards": 1.0"#, "compute_shards"),
             (r#""mesh": "4""#, "mesh"),
             (r#""cols": 2, "rows": 2.5"#, "rows"),
         ] {

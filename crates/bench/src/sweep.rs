@@ -6,9 +6,7 @@
 //! fan-out needs no synchronization beyond joining. Results come back in
 //! point order regardless of the thread count, and each point's stats
 //! are byte-identical to a serial run of the same point — the harness
-//! parallelizes *between* configurations; the `parallel` cargo feature
-//! additionally shards the cycle kernel *within* one (see
-//! `NocConfig::compute_shards`).
+//! parallelizes *between* configurations, never within one.
 
 use disco_noc::traffic::{TrafficDriver, TrafficPattern};
 use disco_noc::{Network, NetworkStats, NocConfig, NodeId, TopologyChoice};
@@ -31,9 +29,6 @@ pub struct SweepPoint {
     pub rows: usize,
     /// Cycles to simulate.
     pub cycles: u64,
-    /// Kernel shard request (see `NocConfig::compute_shards`; ignored
-    /// without the `parallel` feature).
-    pub compute_shards: usize,
     /// Trace ring-buffer capacity override (0 = crate default; ignored
     /// without the `trace` feature). Used by the tracing-overhead bench.
     pub trace_capacity: usize,
@@ -63,7 +58,6 @@ pub fn run_point(point: &SweepPoint) -> PointResult {
     let topo = point.topology.build(point.cols, point.rows);
     let config = NocConfig {
         vcs: NocConfig::default().vcs.max(topo.min_vcs()),
-        compute_shards: point.compute_shards,
         ..NocConfig::default()
     };
     let nodes = topo.tiles();
@@ -131,7 +125,6 @@ mod tests {
                 cols: 4,
                 rows: 4,
                 cycles: 400,
-                compute_shards: 1,
                 trace_capacity: 0,
             })
             .collect()
@@ -160,7 +153,6 @@ mod tests {
                 cols: 4,
                 rows: 4,
                 cycles: 300,
-                compute_shards: 1,
                 trace_capacity: 0,
             };
             let r = run_point(&point);

@@ -264,7 +264,7 @@ fn pareto_point_replays_as_a_serve_job() {
     };
     let summary = serve(&cfg, &opts).expect("serves");
     assert_eq!(summary.completed, 1, "{summary:?}");
-    let (_, pareto_stats) = simulate(&point.spec, 1).expect("point runs");
+    let (_, pareto_stats) = simulate(&point.spec).expect("point runs");
     assert_eq!(stats_of(&out_dir, "replay"), pareto_stats);
 
     // Render → parse identity over every enum value and edge value.

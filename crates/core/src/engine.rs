@@ -151,15 +151,12 @@ struct NodeScan {
     low_confidence: u64,
 }
 
-/// One shard's reusable scan arena: the per-node scan results for the
-/// shard's contiguous node span plus the busy-packet working list. Like
-/// the NoC's compute slots, allocations reach their high-water mark
-/// once and are reused every cycle; the `Mutex` is uncontended (shards
-/// are disjoint) and exists only to hand the slot to a pool worker
-/// safely.
+/// The reusable scan arena: the per-node scan results plus the
+/// busy-packet working list. Like the NoC's compute slot, allocations
+/// reach their high-water mark once and are reused every cycle.
 #[derive(Debug, Default)]
 struct ScanSlot {
-    /// One scan per node in this shard's span, in node order.
+    /// One scan per node, in node order.
     scans: Vec<NodeScan>,
     /// Packets already claimed by engines or earlier slots of the node
     /// under scan.
@@ -184,9 +181,9 @@ pub struct DiscoLayer {
     epoch_started: u64,
     epoch_stats: DiscoStats,
     cycle: u64,
-    /// Per-shard scan arenas, sized lazily to the network's shard count
-    /// and taken out of `self` during each tick's scan + commit.
-    scan_slots: Vec<std::sync::Mutex<ScanSlot>>,
+    /// The scan arena, taken out of `self` during each tick's scan +
+    /// commit.
+    scan_slot: ScanSlot,
 }
 
 impl DiscoLayer {
@@ -203,7 +200,7 @@ impl DiscoLayer {
             epoch_started: 0,
             epoch_stats: DiscoStats::default(),
             cycle: 0,
-            scan_slots: Vec::new(),
+            scan_slot: ScanSlot::default(),
         }
     }
 
@@ -270,9 +267,8 @@ impl DiscoLayer {
     /// Mirrors the NoC's compute → commit split: engine *progress*
     /// ([`step_engine`](Self::step_engine)) mutates shared state and runs
     /// serially in node order; the candidate *scan* is a pure function of
-    /// the resulting network state and parallelizes across nodes; the
-    /// *commit* applies the chosen starts in node order. Results are
-    /// therefore identical for any shard count.
+    /// the resulting network state, so every node sees the same state;
+    /// the *commit* applies the chosen starts in node order.
     pub fn tick(&mut self, net: &mut Network) {
         self.cycle += 1;
         if self.params.adaptive && self.cycle - self.epoch_started >= self.params.epoch_cycles {
@@ -284,32 +280,17 @@ impl DiscoLayer {
                 self.step_engine(net, node, slot);
             }
         }
-        // Detach the arenas so the scan can borrow `self` immutably and
-        // the slots mutably at the same time (mirrors `Network::tick`).
-        if self.scan_slots.len() != net.compute_shards() {
-            self.scan_slots
-                .resize_with(net.compute_shards(), Default::default);
-        }
-        let mut slots = std::mem::take(&mut self.scan_slots);
-        self.compute_scans(net, &mut slots);
-        // Commit in node order: shard slots hold contiguous node spans in
-        // shard order, so a running counter walks nodes exactly `0..n`.
-        let mut node = 0;
-        for slot in slots.iter_mut() {
-            let slot = match slot.get_mut() {
-                Ok(slot) => slot,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for scan in &slot.scans {
-                self.stats.low_confidence += scan.low_confidence;
-                for &action in &scan.starts {
-                    self.commit_start(net, node, action);
-                }
-                node += 1;
+        // Detach the arena so the scan can borrow `self` immutably and
+        // the slot mutably at the same time (mirrors `Network::tick`).
+        let mut slot = std::mem::take(&mut self.scan_slot);
+        self.compute_scans(net, &mut slot);
+        for (node, scan) in slot.scans.iter().enumerate() {
+            self.stats.low_confidence += scan.low_confidence;
+            for &action in &scan.starts {
+                self.commit_start(net, node, action);
             }
         }
-        debug_assert_eq!(node, self.engines.len(), "scan slots must tile the nodes");
-        self.scan_slots = slots;
+        self.scan_slot = slot;
     }
 
     /// How many upcoming cycles [`skip_idle`](Self::skip_idle) may stand
@@ -341,48 +322,14 @@ impl DiscoLayer {
         self.cycle += cycles;
     }
 
-    /// Scan phase: fills one [`NodeScan`] per node into the shard slots,
-    /// spans in node order within each slot.
-    fn compute_scans(&self, net: &Network, slots: &mut [std::sync::Mutex<ScanSlot>]) {
-        #[cfg(feature = "parallel")]
-        if net.compute_shards() > 1 {
-            self.compute_scans_sharded(net, slots);
-            return;
+    /// Scan phase: fills one [`NodeScan`] per node into the slot, in
+    /// node order.
+    fn compute_scans(&self, net: &Network, slot: &mut ScanSlot) {
+        let ScanSlot { scans, busy } = slot;
+        scans.resize_with(self.engines.len(), NodeScan::default);
+        for (node, scan) in scans.iter_mut().enumerate() {
+            self.scan_node_into(net, node, busy, scan);
         }
-        let slot = match slots[0].get_mut() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        slot.scans
-            .resize_with(self.engines.len(), NodeScan::default);
-        for node in 0..self.engines.len() {
-            let ScanSlot { scans, busy } = &mut *slot;
-            self.scan_node_into(net, node, busy, &mut scans[node]);
-        }
-    }
-
-    /// Fans [`scan_node_into`](Self::scan_node_into) out over the
-    /// network's persistent worker pool, shard `s` scanning the node
-    /// span [`Network::shard_span`]`(s)` into slot `s` — the same
-    /// decomposition and worker set as the NoC compute phase, so a
-    /// shard's scan arena stays warm in the same worker's cache.
-    #[cfg(feature = "parallel")]
-    fn compute_scans_sharded(&self, net: &Network, slots: &mut [std::sync::Mutex<ScanSlot>]) {
-        let slots: &[std::sync::Mutex<ScanSlot>] = slots;
-        net.run_sharded(&|shard| {
-            let span = net.shard_span(shard);
-            // Uncontended: worker `shard` is the only thread touching
-            // slot `shard` during a run.
-            let mut slot = match slots[shard].lock() {
-                Ok(slot) => slot,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let ScanSlot { scans, busy } = &mut *slot;
-            scans.resize_with(span.len(), NodeScan::default);
-            for (k, node) in span.enumerate() {
-                self.scan_node_into(net, node, busy, &mut scans[k]);
-            }
-        });
     }
 
     /// Pure per-node scan: decides which packets this node's idle engine
@@ -1712,8 +1659,8 @@ impl disco_snapshot::Snap for Engine {
 impl DiscoLayer {
     /// Writes the layer's mutable state: every engine, the arbitrator's
     /// effective thresholds, epoch bookkeeping, and counters. `params`,
-    /// the codec, and the per-shard scan arenas are rebuilt from config
-    /// on restore.
+    /// the codec, and the scan arena are rebuilt from config on
+    /// restore.
     pub fn snap_state(&self, w: &mut disco_snapshot::Writer) {
         w.put(&self.engines);
         w.put(&self.stats);

@@ -227,7 +227,7 @@ struct CodecOps {
 
 /// Trace capture state for a run that opted into provenance analysis.
 /// Records drain out of the network tracer once per tick, in node order,
-/// so the capture is lossless and shard-invariant.
+/// so the capture is lossless and identical on every rerun.
 #[cfg(feature = "trace")]
 struct TraceState {
     analyzer: disco_trace::ProvenanceAnalyzer,
@@ -620,7 +620,7 @@ impl System {
     /// Moves this tick's events out of the per-component site logs and the
     /// network tracer into the provenance analyzer. Banks drain in index
     /// order, then DRAM — a fixed order, so the capture is byte-identical
-    /// at any shard count. Draining every tick keeps the ring from ever
+    /// on every rerun. Draining every tick keeps the ring from ever
     /// overflowing, making the capture lossless.
     #[cfg(feature = "trace")]
     fn drain_trace_tick(&mut self) {
@@ -1726,10 +1726,9 @@ impl SimBuilder {
 use disco_snapshot::{Snap, SnapError, SnapshotHeader, Writer};
 
 /// Bitmask of the cargo features that change the serialized state
-/// layout of a snapshot. `parallel` and `validate` are deliberately
-/// excluded: they only affect scratch structures that are never
-/// serialized, so snapshots are portable across those builds (and
-/// across `compute_shards` counts — sharding is runtime config).
+/// layout of a snapshot. `validate` is deliberately excluded: it only
+/// adds per-cycle checks and serializes nothing, so snapshots are
+/// portable between builds with and without it.
 pub fn feature_fingerprint() -> u32 {
     let mut f = 0;
     if cfg!(feature = "trace") {
@@ -1930,7 +1929,7 @@ impl Snap for SimBuilder {
 impl SimBuilder {
     /// Compares the run-defining axes of a snapshot's embedded builder
     /// (`self`) against the configuration a caller asked to restore
-    /// into. Sharding and budget knobs are excluded — those may differ.
+    /// into. Budget knobs are excluded — those may differ.
     fn check_matches(&self, requested: &SimBuilder) -> Result<(), SimError> {
         fn diff<T: PartialEq + fmt::Debug>(
             field: &'static str,
@@ -2653,12 +2652,9 @@ mod tests {
                 Ok(_) => panic!("{field}: a differing {field} must be refused"),
             }
         }
-        // Sharding and the cycle budget may differ.
-        let resharded = builder.clone().max_cycles(1_000_000).noc(NocConfig {
-            compute_shards: 4,
-            ..noc
-        });
-        assert!(System::restore_with(&bytes, &resharded).is_ok());
+        // The cycle budget may differ.
+        let rebudgeted = builder.clone().max_cycles(1_000_000);
+        assert!(System::restore_with(&bytes, &rebudgeted).is_ok());
         assert!(System::restore_with(&bytes, &builder).is_ok());
     }
 

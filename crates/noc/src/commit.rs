@@ -4,23 +4,19 @@
 //! [`commit_cycle`] applies every router's [`RouterOutcome`] in fixed
 //! node order — local allocation state first, then the cross-router
 //! effects of each departure (upstream credit return, link delivery,
-//! ejection) and the stat delta. Outcomes live in per-shard slots, but
-//! shards own *contiguous* node ranges, so walking the slots in shard
-//! order with a running node counter **is** node order `0..n`. Because
-//! the outcomes were computed from the cycle-start snapshot, the
-//! committed state is identical no matter how the compute phase was
-//! scheduled, which is what keeps serial and `parallel` builds
-//! byte-exact.
+//! ejection) and the stat delta. Because the outcomes were all computed
+//! from the cycle-start snapshot, no router sees another's effects from
+//! the same cycle, and the committed state does not depend on the order
+//! in which the compute phase visited the routers.
 //!
 //! The `disco-verify` commit-confinement lint pins this property down
 //! statically: outside this module and `router.rs` itself, no code may
 //! write a router's internal fields.
 
-use crate::network::{Network, ShardSlot};
+use crate::network::{ComputeSlot, Network};
 use crate::phase::RouterOutcome;
 use crate::router::{Router, VcState};
 use crate::topology::{NodeId, PortId};
-use std::sync::Mutex;
 
 /// Applies one router's own action lists: RC/VA state transitions, the
 /// winners' buffer pops and credit decrements, round-robin pointers,
@@ -61,8 +57,7 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     let now = net.now;
     commit_router_local(&mut net.routers[i], outcome);
     // Cycle-stamp this router's compute-phase events here, in node
-    // order: the trace byte-stream is then independent of how the
-    // compute phase was scheduled across shards.
+    // order, so the trace byte-stream follows the commit schedule.
     #[cfg(feature = "trace")]
     net.tracer.record_all(&outcome.events);
     for dep in &outcome.departures {
@@ -117,28 +112,9 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     }
 }
 
-/// Applies every shard slot's outcomes in shard order. Shard `s` owns
-/// the contiguous node range [`Network::shard_span`]`(s)`, so the
-/// running counter visits nodes exactly in order `0..n` — the same
-/// schedule the serial path produces.
-pub(crate) fn commit_cycle(net: &mut Network, slots: &mut [Mutex<ShardSlot>]) {
-    let mut node = 0;
-    for slot in slots.iter_mut() {
-        // The compute phase is over and we hold `&mut`: the lock cannot
-        // be contended, and a poisoned slot only means a compute worker
-        // panicked *after* the pool already re-raised the panic.
-        let slot = match slot.get_mut() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for outcome in &slot.outcomes {
-            commit_node(net, node, outcome);
-            node += 1;
-        }
+/// Applies the slot's outcomes in node order `0..n`.
+pub(crate) fn commit_cycle(net: &mut Network, slot: &ComputeSlot) {
+    for (node, outcome) in slot.outcomes.iter().enumerate() {
+        commit_node(net, node, outcome);
     }
-    debug_assert_eq!(
-        node,
-        net.routers.len(),
-        "shard slots must tile the node range"
-    );
 }

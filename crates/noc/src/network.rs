@@ -8,22 +8,16 @@ use crate::router::Router;
 use crate::stats::NetworkStats;
 use crate::topology::{NodeId, PortId, Topology, TopologySpec};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
-/// One shard's reusable compute arena: the outcome slots for the
-/// shard's contiguous router range plus the RC/VA/SA scratch space.
-/// Allocations grow to their high-water mark once and are reused every
-/// cycle afterwards — the steady-state compute phase allocates nothing.
-///
-/// The `Mutex` is uncontended by construction (shards are disjoint and
-/// each worker touches only its own slot); it exists to make the
-/// hand-off to worker threads safe in the type system without putting
-/// any interior mutability into the pure compute code itself.
+/// The reusable compute arena: one outcome slot per router plus the
+/// RC/VA/SA scratch space. Allocations grow to their high-water mark
+/// once and are reused every cycle afterwards — the steady-state
+/// compute phase allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct ShardSlot {
-    /// One outcome per router in this shard's span, in node order.
+pub(crate) struct ComputeSlot {
+    /// One outcome per router, in node order.
     pub(crate) outcomes: Vec<RouterOutcome>,
-    /// Overlay + candidate arenas reused across the shard's routers.
+    /// Overlay + candidate arenas reused across the routers.
     pub(crate) scratch: ComputeScratch,
 }
 
@@ -69,22 +63,12 @@ pub struct Network {
     pub(crate) delivered: Vec<Vec<PacketId>>,
     pub(crate) stats: NetworkStats,
     pub(crate) now: u64,
-    /// Per-shard compute arenas, taken out of `self` for the duration of
-    /// each tick's compute + commit so the phases can borrow the network
-    /// and the slots independently. Length equals the shard count.
-    scratch: Vec<Mutex<ShardSlot>>,
-    /// Worker count for the compute phase, resolved once at build time
-    /// from [`NocConfig::compute_shards`] and the host.
-    #[cfg(feature = "parallel")]
-    shards: usize,
-    /// Persistent compute workers (`shards - 1` parked threads), spawned
-    /// once at construction. `None` when one shard suffices — the serial
-    /// path must not pay any pool cost, not even an idle thread.
-    #[cfg(feature = "parallel")]
-    pool: Option<crate::pool::WorkerPool>,
-    /// Cycle-stamped trace event collector. Fed only from the serial
-    /// paths (NI injection, the commit pass), so its byte stream is
-    /// independent of the compute-phase shard count.
+    /// The compute arena, taken out of `self` for the duration of each
+    /// tick's compute + commit so the phases can borrow the network and
+    /// the slot independently.
+    scratch: ComputeSlot,
+    /// Cycle-stamped trace event collector. Fed only from NI injection
+    /// and the node-ordered commit pass, never from the compute phase.
     #[cfg(feature = "trace")]
     pub(crate) tracer: disco_trace::Tracer,
     /// Commit-side fault injection/recovery state, present only while a
@@ -92,24 +76,6 @@ pub struct Network {
     /// ([`Network::set_fault_plan`]).
     #[cfg(feature = "faults")]
     pub(crate) faults: Option<crate::faults::FaultCtx>,
-}
-
-/// Resolves [`NocConfig::compute_shards`] against the host and network
-/// size. Auto mode (`0`) engages threads only when each worker gets a
-/// meaningful slice of routers; scoped-thread spawn overhead dwarfs the
-/// per-cycle compute of a small network.
-#[cfg(feature = "parallel")]
-fn effective_shards(requested: usize, routers: usize) -> usize {
-    const MIN_ROUTERS_PER_SHARD: usize = 16;
-    match requested {
-        0 => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            cores.min(routers / MIN_ROUTERS_PER_SHARD).max(1)
-        }
-        n => n.min(routers.max(1)),
-    }
 }
 
 impl Network {
@@ -140,10 +106,6 @@ impl Network {
         );
         let routers = topology.routers();
         let tiles = topology.tiles();
-        #[cfg(feature = "parallel")]
-        let shards = effective_shards(config.compute_shards, routers);
-        #[cfg(not(feature = "parallel"))]
-        let shards = 1;
         let radix = topology.radix();
         let link_ports = topology.link_ports();
         Network {
@@ -159,74 +121,12 @@ impl Network {
             delivered: vec![Vec::new(); tiles],
             stats: NetworkStats::new(),
             now: 0,
-            scratch: (0..shards)
-                .map(|_| Mutex::new(ShardSlot::default()))
-                .collect(),
-            #[cfg(feature = "parallel")]
-            shards,
-            #[cfg(feature = "parallel")]
-            pool: if shards > 1 {
-                Some(crate::pool::WorkerPool::new(shards - 1))
-            } else {
-                None
-            },
+            scratch: ComputeSlot::default(),
             #[cfg(feature = "trace")]
             tracer: disco_trace::Tracer::default(),
             #[cfg(feature = "faults")]
             faults: None,
         }
-    }
-
-    /// The number of workers the compute phase fans out over. Always `1`
-    /// in serial builds; under the `parallel` feature it is resolved
-    /// from [`NocConfig::compute_shards`]. The DISCO layer reuses it for
-    /// its own candidate scan.
-    pub fn compute_shards(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.shards
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            1
-        }
-    }
-
-    /// Number of live pool worker threads. `0` whenever one shard
-    /// suffices: the serial path never spins up a pool (pinned by
-    /// `tests/determinism.rs`).
-    pub fn pool_workers(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.pool.as_ref().map_or(0, |p| p.workers())
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            0
-        }
-    }
-
-    /// The contiguous router range shard `shard` owns. Spans routers
-    /// `0..n` in shard order, which is what lets the commit pass
-    /// walk shard slots sequentially and still visit nodes in order.
-    pub fn shard_span(&self, shard: usize) -> std::ops::Range<usize> {
-        let n = self.routers.len();
-        let chunk = n.div_ceil(self.compute_shards().max(1));
-        let start = (shard * chunk).min(n);
-        start..(start + chunk).min(n)
-    }
-
-    /// Runs `task(shard)` for every shard index, on the persistent pool
-    /// when one exists (shard 0 on the calling thread, the rest on
-    /// parked workers) and inline otherwise. The DISCO layer reuses this
-    /// for its candidate scan so both phases share one worker set.
-    pub fn run_sharded(&self, task: &(dyn Fn(usize) + Sync)) {
-        #[cfg(feature = "parallel")]
-        if let Some(pool) = &self.pool {
-            pool.run(task);
-            return;
-        }
-        task(0);
     }
 
     /// Current cycle.
@@ -444,12 +344,12 @@ impl Network {
         #[cfg(feature = "faults")]
         crate::faults::drain_retransmits(self);
         self.inject();
-        // Detach the arenas from `self` so the compute phase can borrow
-        // the network immutably and the slots mutably at the same time.
-        let mut slots = std::mem::take(&mut self.scratch);
-        self.compute_phase(&mut slots);
-        crate::commit::commit_cycle(self, &mut slots);
-        self.scratch = slots;
+        // Detach the arena from `self` so the compute phase can borrow
+        // the network immutably and the slot mutably at the same time.
+        let mut slot = std::mem::take(&mut self.scratch);
+        self.compute_phase(&mut slot);
+        crate::commit::commit_cycle(self, &slot);
+        self.scratch = slot;
         #[cfg(feature = "validate")]
         if let Err(msg) = self.check_invariants() {
             panic!("validate: cycle {}: {msg}", self.now);
@@ -457,20 +357,10 @@ impl Network {
     }
 
     /// Runs [`crate::phase::compute_router`] for every router, writing
-    /// into the reusable shard slots. Routers are disjoint state and the
-    /// function is pure, so the sharded path fills bit-identical
-    /// outcomes in the same node order.
-    fn compute_phase(&self, slots: &mut [Mutex<ShardSlot>]) {
-        #[cfg(feature = "parallel")]
-        if self.shards > 1 {
-            self.compute_phase_sharded(slots);
-            return;
-        }
+    /// into the reusable slot in node order. The function is pure, so
+    /// every outcome reflects the same cycle-start snapshot.
+    fn compute_phase(&self, slot: &mut ComputeSlot) {
         let gate = self.fault_gate();
-        let slot = match slots[0].get_mut() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
         slot.outcomes
             .resize_with(self.routers.len(), RouterOutcome::default);
         for (i, router) in self.routers.iter().enumerate() {
@@ -484,40 +374,6 @@ impl Network {
                 &mut slot.outcomes[i],
             );
         }
-    }
-
-    /// Fans the per-router compute over the persistent pool: shard `s`
-    /// computes its contiguous span into slot `s`. Shards are pinned to
-    /// workers, so a slot's arena stays warm in one worker's cache
-    /// across cycles.
-    #[cfg(feature = "parallel")]
-    fn compute_phase_sharded(&self, slots: &mut [Mutex<ShardSlot>]) {
-        let now = self.now;
-        let gate = self.fault_gate();
-        let slots: &[Mutex<ShardSlot>] = slots;
-        self.run_sharded(&|shard| {
-            let span = self.shard_span(shard);
-            // Uncontended by construction: worker `shard` is the only
-            // thread that ever touches slot `shard` during a run.
-            let mut slot = match slots[shard].lock() {
-                Ok(slot) => slot,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let slot = &mut *slot;
-            slot.outcomes
-                .resize_with(span.len(), RouterOutcome::default);
-            for (k, i) in span.enumerate() {
-                crate::phase::compute_router(
-                    &self.routers[i],
-                    now,
-                    &self.store,
-                    &self.topology,
-                    gate,
-                    &mut slot.scratch,
-                    &mut slot.outcomes[k],
-                );
-            }
-        });
     }
 
     /// NI injection: one flit per tile per cycle, round-robin over VCs.
@@ -1000,52 +856,6 @@ mod tests {
         assert!(n.is_idle());
     }
 
-    /// Sharding only changes scheduling of the pure compute phase, so
-    /// every router's full state and every counter must match the
-    /// single-shard run bit for bit, cycle by cycle.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn sharded_compute_matches_serial() {
-        let run = |shards: usize| {
-            let config = NocConfig {
-                compute_shards: shards,
-                ..NocConfig::default()
-            };
-            let mut n = Network::new(Mesh::new(4, 4), config);
-            let line = CacheLine::from_u64_words([3, 5, 7, 9, 11, 13, 15, 17]);
-            for i in 0..16usize {
-                n.send(
-                    NodeId(i),
-                    NodeId((i + 5) % 16),
-                    PacketClass::Response,
-                    Payload::Raw(line),
-                    true,
-                    i as u64,
-                );
-                n.send(
-                    NodeId(i),
-                    NodeId((i * 3 + 1) % 16),
-                    PacketClass::Request,
-                    Payload::None,
-                    false,
-                    i as u64,
-                );
-            }
-            for _ in 0..400 {
-                n.tick();
-            }
-            // Routers embed a copy of the config; mask the one field that
-            // legitimately differs between runs so everything else must
-            // match bit for bit.
-            let routers = format!("{:?}", n.routers)
-                .replace(&format!("compute_shards: {shards}"), "compute_shards: _");
-            (format!("{:?}", n.stats()), routers)
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(4), "4 shards must be bit-exact");
-        assert_eq!(serial, run(16), "one router per shard must be bit-exact");
-    }
-
     #[test]
     fn invariants_hold_under_load() {
         let mut n = net(4, 4);
@@ -1267,8 +1077,8 @@ impl Network {
     /// arenas and credits, the packet store, the NI injection queues,
     /// delivery queues, counters, and (when the features are on) the
     /// trace ring and the fault-recovery ledger. The topology, config,
-    /// and the parallel compute arenas (`scratch`, `shards`, `pool`) are
-    /// rebuilt from config on restore.
+    /// and the compute arena (`scratch`) are rebuilt from config on
+    /// restore.
     pub fn snap_state(&self, w: &mut disco_snapshot::Writer) {
         w.put(&(self.routers.len() as u64));
         for router in &self.routers {

@@ -16,9 +16,8 @@
 //! with a counting global allocator.
 //!
 //! Because every router's outcome depends only on the cycle-start
-//! snapshot, the compute phase may run for all routers in any order —
-//! or in parallel (`parallel` feature) — and the result is identical by
-//! construction. All mutation happens afterwards in the commit pass
+//! snapshot, the compute phase may visit the routers in any order and
+//! the result is identical by construction. All mutation happens afterwards in the commit pass
 //! ([`crate::commit`]), in fixed node order.
 
 use crate::config::FlowControl;
@@ -61,7 +60,7 @@ pub(crate) struct RouterOutcome {
     pub stats: NetworkStats,
     /// Trace events decided this cycle, in stage order. Carried out of
     /// the pure compute phase and cycle-stamped by the commit pass in
-    /// node order, which keeps the trace shard-count invariant.
+    /// node order.
     #[cfg(feature = "trace")]
     pub events: disco_trace::EventList,
     /// Output-port arbitration rounds forfeited to an injected port
@@ -91,9 +90,9 @@ impl RouterOutcome {
     }
 }
 
-/// Reusable per-shard working memory for [`compute_router`]: the RC/VA
-/// overlays and the SA candidate list. One arena serves every router of
-/// a shard in sequence; capacities grow to the high-water mark once and
+/// Reusable working memory for [`compute_router`]: the RC/VA overlays
+/// and the SA candidate list. One arena serves every router in
+/// sequence; capacities grow to the high-water mark once and
 /// then stay — no per-router, per-cycle allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ComputeScratch {

@@ -50,8 +50,7 @@ impl NetworkStats {
 
     /// Adds another counter block into this one, field by field. The
     /// commit pass merges the per-router deltas of the compute phase in
-    /// node order; u64 addition commutes, so the totals are identical
-    /// for any shard count.
+    /// node order.
     pub fn accumulate(&mut self, delta: &NetworkStats) {
         self.cycles += delta.cycles;
         self.packets_injected += delta.packets_injected;

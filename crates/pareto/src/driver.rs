@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use disco_core::{CompressionPlacement, SimError, SimReport};
 use disco_energy::AreaModel;
 
-use crate::exec::{fan_out, oversubscription_warning, run_point_checked};
+use crate::exec::{fan_out, oversubscription_warning};
 use crate::frontier::{self, Frontier};
 use crate::journal::{Journal, JournalEntry};
 use crate::space::{DesignPoint, DesignSpace};
@@ -26,10 +26,6 @@ pub struct ExploreConfig {
     pub space: DesignSpace,
     /// Worker threads fanning over points (≤ 1 = serial).
     pub workers: usize,
-    /// Compute shards for the *checked* leg of each point's
-    /// serial-vs-parallel divergence test (≤ 1 skips the second run; the
-    /// journaled result is always the serial reference either way).
-    pub shards: usize,
     /// Journal path; `None` explores entirely in memory (no resume).
     pub journal: Option<PathBuf>,
     /// Budget: at most this many *new* points this invocation (0 =
@@ -43,7 +39,6 @@ impl ExploreConfig {
         ExploreConfig {
             space,
             workers: 1,
-            shards: 1,
             journal: None,
             max_points: 0,
         }
@@ -97,7 +92,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
     let mut warnings = Vec::new();
     let host = std::thread::available_parallelism().map_or(0, |n| n.get());
-    if let Some(w) = oversubscription_warning("pareto", cfg.workers, cfg.shards, host) {
+    if let Some(w) = oversubscription_warning("pareto", cfg.workers, host) {
         warnings.push(w);
     }
 
@@ -111,7 +106,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
     let mut completed = 0;
     for chunk in pending.chunks(CHUNK.max(cfg.workers)) {
-        let entries = fan_out(chunk, cfg.workers, |p| run_point(p, cfg.shards));
+        let entries = fan_out(chunk, cfg.workers, run_point);
         if let Some(j) = &journal {
             j.append(&entries);
         }
@@ -141,31 +136,19 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
     }
 }
 
-/// Runs `spec` to completion with `compute_shards` kernel shards —
-/// the run every design point gets — returning the report and its
-/// rendered stats file.
-pub fn simulate(spec: &SimSpec, compute_shards: usize) -> Result<(SimReport, Vec<u8>), SimError> {
-    let report = spec.builder(compute_shards).run()?;
+/// Runs `spec` to completion — the run every design point gets —
+/// returning the report and its rendered stats file.
+pub fn simulate(spec: &SimSpec) -> Result<(SimReport, Vec<u8>), SimError> {
+    let report = spec.builder().run()?;
     let mut stats = Vec::new();
     report.write_stats(&mut stats).expect("in-memory write");
     Ok((report, stats))
 }
 
-/// Simulates one point: the serial reference run, optionally re-run
-/// sharded for the divergence check, then objectives + energy breakdown.
-fn run_point(point: &DesignPoint, shards: usize) -> JournalEntry {
-    let run = |compute_shards| {
-        simulate(&point.spec, compute_shards)
-            .unwrap_or_else(|e| panic!("point {} ({}) failed: {e:?}", point.id, point.spec.label()))
-    };
-    let (report, deterministic) = if shards > 1 {
-        let ((report, _), agreed) =
-            run_point_checked(|| run(1), || run(shards), |(_, stats)| stats.clone());
-        (report, agreed)
-    } else {
-        (run(1).0, true)
-    };
-
+/// Simulates one point, then derives its objectives + energy breakdown.
+fn run_point(point: &&DesignPoint) -> JournalEntry {
+    let (report, _) = simulate(&point.spec)
+        .unwrap_or_else(|e| panic!("point {} ({}) failed: {e:?}", point.id, point.spec.label()));
     let er = report.energy_report();
     JournalEntry {
         id: point.id,
@@ -177,7 +160,6 @@ fn run_point(point: &DesignPoint, shards: usize) -> JournalEntry {
         cache_dynamic_pj: er.breakdown.cache_dynamic_pj,
         cache_static_pj: er.breakdown.cache_static_pj,
         compressor_pj: er.breakdown.compressor_pj,
-        deterministic,
     }
 }
 
@@ -255,7 +237,7 @@ fn render(
             "    {{\"id\":{},{},\"latency\":{:?},\"pj_per_cycle\":{:?},\
              \"area_mm2\":{:?},\"energy\":{{\"noc_dynamic_pj\":{:?},\
              \"noc_static_pj\":{:?},\"cache_dynamic_pj\":{:?},\"cache_static_pj\":{:?},\
-             \"compressor_pj\":{:?}}},\"deterministic\":{}}}",
+             \"compressor_pj\":{:?}}}}}",
             p.id,
             p.spec.json_members(&DesignPoint::KEYS),
             e.latency,
@@ -266,7 +248,6 @@ fn render(
             e.cache_dynamic_pj,
             e.cache_static_pj,
             e.compressor_pj,
-            e.deterministic,
         );
         out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }

@@ -31,8 +31,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// One journaled point: the measured objectives plus the per-point
-/// energy breakdown and the serial-vs-sharded divergence verdict. No
-/// wall-clock anywhere — the journal must be byte-stable across reruns.
+/// energy breakdown. No wall-clock anywhere — the journal must be
+/// byte-stable across reruns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JournalEntry {
     /// Design-point id (enumeration order within the space).
@@ -53,9 +53,6 @@ pub struct JournalEntry {
     pub cache_static_pj: f64,
     /// Compressor/decompressor energy, pJ.
     pub compressor_pj: f64,
-    /// Whether the sharded rerun of this point matched the serial
-    /// reference stat-for-stat.
-    pub deterministic: bool,
 }
 
 impl JournalEntry {
@@ -73,7 +70,7 @@ impl JournalEntry {
         format!(
             "{{\"id\":{},\"latency\":{:?},\"pj_per_cycle\":{:?},\"area_mm2\":{:?},\
              \"noc_dynamic_pj\":{:?},\"noc_static_pj\":{:?},\"cache_dynamic_pj\":{:?},\
-             \"cache_static_pj\":{:?},\"compressor_pj\":{:?},\"deterministic\":{}}}",
+             \"cache_static_pj\":{:?},\"compressor_pj\":{:?}}}",
             self.id,
             self.latency,
             self.pj_per_cycle,
@@ -83,12 +80,13 @@ impl JournalEntry {
             self.cache_dynamic_pj,
             self.cache_static_pj,
             self.compressor_pj,
-            self.deterministic,
         )
     }
 
     /// Parses one journal line. `None` on anything malformed — a
-    /// truncated tail after a kill is data, not a bug.
+    /// truncated tail after a kill is data, not a bug. Members this
+    /// version does not know (older journals carry `"deterministic"`)
+    /// are ignored.
     pub fn parse_line(line: &str) -> Option<Self> {
         let obj = json::parse(line).ok()?;
         let f = |k: &str| obj.get(k)?.as_f64();
@@ -102,7 +100,6 @@ impl JournalEntry {
             cache_dynamic_pj: f("cache_dynamic_pj")?,
             cache_static_pj: f("cache_static_pj")?,
             compressor_pj: f("compressor_pj")?,
-            deterministic: obj.get("deterministic")?.as_bool()?,
         })
     }
 }
@@ -187,7 +184,6 @@ mod tests {
             cache_dynamic_pj: 300.125,
             cache_static_pj: 11.0,
             compressor_pj: 0.75,
-            deterministic: id.is_multiple_of(2),
         }
     }
 
@@ -197,7 +193,6 @@ mod tests {
             let e = entry(id);
             let back = JournalEntry::parse_line(&e.to_line()).expect("parses");
             assert_eq!(back.id, e.id);
-            assert_eq!(back.deterministic, e.deterministic);
             for (a, b) in [
                 (back.latency, e.latency),
                 (back.pj_per_cycle, e.pj_per_cycle),
@@ -239,6 +234,30 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    /// Journals written before the `"deterministic"` member was dropped
+    /// still resume: the old line loads as the same point, and writing
+    /// it back yields the old line minus that member.
+    #[test]
+    fn journal_with_deterministic_member_resumes() {
+        let old = "{\"id\":2,\"latency\":38.5,\"pj_per_cycle\":0.125,\"area_mm2\":0.0,\
+                   \"noc_dynamic_pj\":100.5,\"noc_static_pj\":7.0,\"cache_dynamic_pj\":300.125,\
+                   \"cache_static_pj\":11.0,\"compressor_pj\":0.75,\"deterministic\":true}";
+        let dir = std::env::temp_dir().join("disco-pareto-journal-test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.jsonl");
+        fs::write(&path, format!("{old}\n")).unwrap();
+        let j = Journal::new(&path);
+        let loaded = j.load();
+        assert_eq!(loaded.keys().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(
+            loaded[&2].to_line(),
+            old.replace(",\"deterministic\":true", "")
+        );
+        j.append(&[entry(3)]);
+        assert_eq!(j.load().keys().copied().collect::<Vec<_>>(), vec![2, 3]);
+        let _ = fs::remove_file(&path);
+    }
+
     #[test]
     fn write_atomic_replaces_whole_file() {
         let dir = std::env::temp_dir().join("disco-pareto-journal-test");
@@ -258,7 +277,7 @@ mod tests {
     fn non_finite_journal_values_are_rejected() {
         let line = "{\"id\":1,\"latency\":NaN,\"pj_per_cycle\":1.0,\"area_mm2\":0.0,\
                     \"noc_dynamic_pj\":1.0,\"noc_static_pj\":1.0,\"cache_dynamic_pj\":1.0,\
-                    \"cache_static_pj\":1.0,\"compressor_pj\":1.0,\"deterministic\":true}";
+                    \"cache_static_pj\":1.0,\"compressor_pj\":1.0}";
         assert_eq!(JournalEntry::parse_line(line), None);
     }
 }

@@ -10,9 +10,7 @@ use disco_workloads::Benchmark;
 
 use crate::json::{json_escape, Json};
 
-/// Every run-defining axis of one full-system simulation. Sharding is
-/// not one: it never changes the results, so [`SimSpec::builder`] takes
-/// it separately.
+/// Every run-defining axis of one full-system simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimSpec {
     /// Mesh columns.
@@ -80,17 +78,14 @@ impl Default for SimSpec {
 }
 
 impl SimSpec {
-    /// The simulator configuration this spec describes, with the NoC
-    /// kernel split into `compute_shards` shards (ignored without the
-    /// `parallel` feature; results are identical either way).
-    pub fn builder(&self, compute_shards: usize) -> SimBuilder {
+    /// The simulator configuration this spec describes.
+    pub fn builder(&self) -> SimBuilder {
         SimBuilder::new()
             .mesh(self.cols, self.rows)
             .topology(self.topology)
             .noc(NocConfig {
                 vcs: self.vcs,
                 buffer_depth: self.buffer_depth,
-                compute_shards,
                 ..NocConfig::default()
             })
             .placement(self.placement)
@@ -310,7 +305,7 @@ mod tests {
             trace_len: 100,
             ..SimSpec::default()
         };
-        spec.builder(1).run().unwrap().write_stats(&mut a).unwrap();
+        spec.builder().run().unwrap().write_stats(&mut a).unwrap();
         SimBuilder::new()
             .mesh(2, 2)
             .trace_len(100)

@@ -26,7 +26,7 @@
 //! Determinism contract: events must be recorded from serial,
 //! node-ordered code (the commit phase of the cycle kernel), and every
 //! field is an integer derived from simulation state. Under that
-//! contract the exported JSONL is byte-identical at any shard count.
+//! contract the exported JSONL is byte-identical on every rerun.
 
 pub mod event;
 pub mod export;

@@ -20,7 +20,7 @@
 //!    `inputs`, `out_alloc`, `credits`, `rr_sa`, or `sa_losers` directly.
 //! 4. **No wall-clock in the trace path** — trace records are stamped
 //!    with the simulated cycle, never host time, or the export stops
-//!    being byte-identical across shard counts and reruns. Nothing under
+//!    being byte-identical across reruns. Nothing under
 //!    `crates/trace/src` and no emission-site file may mention
 //!    `std::time`, `Instant`, or `SystemTime`.
 //! 5. **Fault-kind coverage** — every `FaultKind` variant declared in
@@ -52,7 +52,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/noc/src/router.rs",
     "crates/noc/src/network.rs",
     "crates/noc/src/phase.rs",
-    "crates/noc/src/pool.rs",
     "crates/noc/src/commit.rs",
     "crates/noc/src/routing.rs",
     "crates/noc/src/packet.rs",
@@ -305,7 +304,6 @@ fn is_mutated(rest: &str) -> bool {
 /// throughput measurement and are deliberately out of scope.)
 pub const WALLCLOCK_FREE: &[&str] = &[
     "crates/noc/src/phase.rs",
-    "crates/noc/src/pool.rs",
     "crates/noc/src/commit.rs",
     "crates/noc/src/network.rs",
     "crates/core/src/engine.rs",
@@ -794,9 +792,11 @@ pub fn check_no_wallclock_ast(root: &Path) -> io::Result<Vec<Violation>> {
 }
 
 /// Compute-phase purity check: `crates/noc/src/phase.rs` must keep the
-/// `compute_router(router: &Router, …)` shared-reference signature the
-/// determinism argument rests on, and must not smuggle writes through
-/// interior mutability (`RefCell`, `Cell`, `Mutex`, atomics, …).
+/// `compute_router(router: &Router, …)` shared-reference signature and
+/// must not smuggle writes through interior mutability (`RefCell`,
+/// `Cell`, `Mutex`, atomics, …). Compute must stay pure so that every
+/// outcome the node-ordered commit applies was computed from one
+/// consistent cycle-start state.
 ///
 /// # Errors
 ///

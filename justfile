@@ -31,7 +31,7 @@ verify-json:
 test:
     cargo test --workspace -q
     cargo test -q -p disco-noc --features validate
-    cargo test -q -p disco -p disco-noc -p disco-core --features "parallel,trace"
+    cargo test -q -p disco -p disco-noc -p disco-core --features trace
 
 # Regenerate the EXPERIMENTS.md provenance tables and the sample trace
 # exports (results/trace_disco_4x4.json / .jsonl, untracked).

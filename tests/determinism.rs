@@ -1,52 +1,56 @@
 //! Determinism matrix: the phase-split cycle kernel must produce
-//! byte-identical stats regardless of how many shards the compute phase
-//! runs on. Serial builds ignore `compute_shards`, so there the matrix
-//! degenerates to a (cheap) self-comparison; under `--features parallel`
-//! it pins the real property — commit order, not thread schedule,
-//! decides every outcome. CI runs this file under all four feature
-//! combinations (default, `parallel`, `validate`, `parallel,validate`).
+//! byte-identical stats on every rerun of the same configuration. Each
+//! router's compute reads only the cycle-start state and the commit
+//! pass applies the outcomes in node order, so nothing but the
+//! configuration decides an outcome. CI runs this file under the
+//! default, `validate`, `trace`, `faults` and `faults,trace` builds.
 
 use disco::core::{CompressionPlacement, SimBuilder};
 use disco::noc::{NocConfig, RoutingAlgorithm, TopologyChoice};
 use disco::workloads::Benchmark;
 
-/// Full stats report for one matrix point at a given shard count.
-fn stats_with_shards(
-    seed: u64,
-    placement: CompressionPlacement,
-    routing: RoutingAlgorithm,
-    shards: usize,
-) -> String {
-    let noc = NocConfig {
-        routing,
-        compute_shards: shards,
-        ..NocConfig::default()
-    };
-    let report = SimBuilder::new()
-        .mesh(4, 4)
-        .placement(placement)
-        .benchmark(Benchmark::Dedup)
-        .trace_len(300)
-        .seed(seed)
-        .noc(noc)
-        .run()
-        .expect("matrix run drains");
+/// Runs `run` twice and asserts both runs render the same bytes.
+/// Returns the first rendering for further checks.
+fn assert_reruns_identically(label: &str, run: impl Fn() -> String) -> String {
+    let first = run();
+    assert_eq!(first, run(), "{label}: rerun diverged");
+    first
+}
+
+/// The rendered stats file of a finished run.
+fn stats_text(builder: SimBuilder) -> String {
+    let report = builder.run().expect("matrix run drains");
     let mut buf = Vec::new();
     report.write_stats(&mut buf).expect("in-memory write");
     String::from_utf8(buf).expect("stats are utf8")
 }
 
+/// One 4x4 dedup matrix point.
+fn matrix_point(
+    seed: u64,
+    placement: CompressionPlacement,
+    routing: RoutingAlgorithm,
+) -> SimBuilder {
+    SimBuilder::new()
+        .mesh(4, 4)
+        .placement(placement)
+        .benchmark(Benchmark::Dedup)
+        .trace_len(300)
+        .seed(seed)
+        .noc(NocConfig {
+            routing,
+            ..NocConfig::default()
+        })
+}
+
 #[test]
-fn shard_count_never_changes_stats() {
+fn reruns_never_change_stats() {
     for seed in [1u64, 2, 3] {
         for placement in [CompressionPlacement::Baseline, CompressionPlacement::Disco] {
             for routing in [RoutingAlgorithm::Xy, RoutingAlgorithm::WestFirst] {
-                let serial = stats_with_shards(seed, placement, routing, 1);
-                let sharded = stats_with_shards(seed, placement, routing, 4);
-                assert_eq!(
-                    serial, sharded,
-                    "seed {seed}, {placement}, {routing:?}: \
-                     4-shard stats diverged from 1-shard"
+                assert_reruns_identically(
+                    &format!("seed {seed}, {placement}, {routing:?}"),
+                    || stats_text(matrix_point(seed, placement, routing)),
                 );
             }
         }
@@ -55,200 +59,76 @@ fn shard_count_never_changes_stats() {
 
 /// The wrapped topologies join the matrix: ring and torus runs (which
 /// exercise the dateline VC split and, on the ring, radix-3 port
-/// tables) must be byte-identical at any shard count too. 3 seeds ×
-/// {Baseline, DISCO} × shards {1, 4, 16} per topology.
+/// tables) must rerun byte-identically too. 3 seeds × {Baseline,
+/// DISCO} per topology.
 #[test]
-fn ring_and_torus_are_shard_invariant() {
-    let stats =
-        |topology: TopologyChoice, seed: u64, placement: CompressionPlacement, shards: usize| {
-            let noc = NocConfig {
-                compute_shards: shards,
-                ..NocConfig::default()
-            };
-            let report = SimBuilder::new()
-                .mesh(4, 4)
-                .topology(topology)
-                .placement(placement)
-                .benchmark(Benchmark::Dedup)
-                .trace_len(300)
-                .seed(seed)
-                .noc(noc)
-                .run()
-                .expect("wrapped-topology matrix run drains");
-            let mut buf = Vec::new();
-            report.write_stats(&mut buf).expect("in-memory write");
-            String::from_utf8(buf).expect("stats are utf8")
-        };
+fn ring_and_torus_rerun_identically() {
     for topology in [TopologyChoice::Ring, TopologyChoice::Torus] {
         for seed in [1u64, 2, 3] {
             for placement in [CompressionPlacement::Baseline, CompressionPlacement::Disco] {
-                let serial = stats(topology, seed, placement, 1);
-                for shards in [4, 16] {
-                    assert_eq!(
-                        serial,
-                        stats(topology, seed, placement, shards),
-                        "{topology}, seed {seed}, {placement}: \
-                         {shards}-shard stats diverged from serial"
-                    );
-                }
+                assert_reruns_identically(&format!("{topology}, seed {seed}, {placement}"), || {
+                    stats_text(
+                        matrix_point(seed, placement, RoutingAlgorithm::Xy).topology(topology),
+                    )
+                });
             }
         }
     }
 }
 
-/// One router per shard is the most adversarial decomposition: every
-/// cross-router effect crosses a shard boundary.
+/// A DISCO run must also satisfy the runtime invariant checker: when
+/// the `validate` feature is on (CI's `validate` leg), this run walks
+/// credit conservation and VC-state legality every cycle.
 #[test]
-fn one_router_per_shard_matches_serial() {
-    let serial = stats_with_shards(7, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 1);
-    let extreme = stats_with_shards(7, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 16);
-    assert_eq!(serial, extreme);
-}
-
-/// A sharded run must also satisfy the runtime invariant checker: when
-/// the `validate` feature is on (CI's `parallel,validate` job), this run
-/// walks credit conservation and VC-state legality every cycle.
-#[test]
-fn sharded_run_passes_validation() {
-    let stats = stats_with_shards(11, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 4);
+fn disco_run_passes_validation() {
+    let stats = stats_text(matrix_point(
+        11,
+        CompressionPlacement::Disco,
+        RoutingAlgorithm::Xy,
+    ));
     assert!(stats.contains("noc.routing_violations = 0"));
 }
 
-/// The 16x16 leg: at 256 routers the parallel build actually engages
-/// the persistent worker pool (auto-sharding refuses to split meshes
-/// smaller than 16 routers per shard), so this is the configuration
-/// where a commit-order bug or a pool race would first become visible.
-/// 3 seeds × {Baseline, DISCO} × shards {1, 4, 16}, byte-compared.
+/// The 16x16 leg: 256 routers, where a node-order bug in the commit
+/// pass has the most room to show.
 #[test]
-fn large_mesh_is_shard_invariant() {
-    let stats_16x16 = |seed: u64, placement: CompressionPlacement, shards: usize| {
-        let noc = NocConfig {
-            compute_shards: shards,
-            ..NocConfig::default()
-        };
-        let report = SimBuilder::new()
-            .mesh(16, 16)
-            .placement(placement)
-            .benchmark(Benchmark::Dedup)
-            .trace_len(200)
-            .seed(seed)
-            .noc(noc)
-            .run()
-            .expect("16x16 matrix run drains");
-        let mut buf = Vec::new();
-        report.write_stats(&mut buf).expect("in-memory write");
-        String::from_utf8(buf).expect("stats are utf8")
-    };
-    // Serial builds ignore `compute_shards`, so each comparison there
-    // is a self-check; one matrix point keeps the default-feature test
-    // tier fast. The parallel build — where the pool actually runs —
-    // covers the full 3-seed × 2-placement matrix (CI's `parallel*`
-    // legs).
-    let seeds: &[u64] = if cfg!(feature = "parallel") {
-        &[1, 2, 3]
-    } else {
-        &[1]
-    };
-    let placements: &[CompressionPlacement] = if cfg!(feature = "parallel") {
-        &[CompressionPlacement::Baseline, CompressionPlacement::Disco]
-    } else {
-        &[CompressionPlacement::Disco]
-    };
-    for &seed in seeds {
-        for &placement in placements {
-            let serial = stats_16x16(seed, placement, 1);
-            for shards in [4, 16] {
-                assert_eq!(
-                    serial,
-                    stats_16x16(seed, placement, shards),
-                    "seed {seed}, {placement}: 16x16 diverged at {shards} shards"
-                );
-            }
-        }
-    }
-}
-
-/// Dropping to 1 shard must route through the serial compute path with
-/// no worker pool spun up — a single-shard "parallel" run that parked a
-/// thread anyway would pay rendezvous cost for nothing. Conversely, a
-/// parallel build asked for N shards must hold N-1 parked workers
-/// (index 0 runs on the caller's thread).
-#[test]
-fn single_shard_spins_up_no_pool() {
-    use disco::noc::{Mesh, Network};
-
-    let noc = NocConfig {
-        compute_shards: 1,
-        ..NocConfig::default()
-    };
-    let net = Network::new(Mesh::new(4, 4), noc);
-    assert_eq!(net.compute_shards(), 1);
-    assert_eq!(
-        net.pool_workers(),
-        0,
-        "1 shard must not spin up a worker pool"
-    );
-
-    #[cfg(feature = "parallel")]
-    {
-        let noc = NocConfig {
-            compute_shards: 4,
-            ..NocConfig::default()
-        };
-        let net = Network::new(Mesh::new(4, 4), noc);
-        assert_eq!(net.compute_shards(), 4);
-        assert_eq!(
-            net.pool_workers(),
-            3,
-            "4 shards must hold exactly 3 parked workers"
-        );
-    }
+fn large_mesh_reruns_identically() {
+    assert_reruns_identically("16x16, seed 1, Disco", || {
+        stats_text(
+            SimBuilder::new()
+                .mesh(16, 16)
+                .placement(CompressionPlacement::Disco)
+                .benchmark(Benchmark::Dedup)
+                .trace_len(200)
+                .seed(1),
+        )
+    });
 }
 
 /// Fault injection must not weaken the determinism contract: the fault
 /// schedule is a pure function of `(seed, kind, cycle, site)` and all
 /// fault bookkeeping runs in the node-ordered serial passes, so the
-/// whole stats file — FaultStats included — must be byte-identical at
-/// any shard count, at any fault rate. CI runs this leg under `faults`
-/// and `parallel,faults,trace`.
+/// whole stats file — FaultStats included — must rerun byte-identically
+/// at any fault rate. CI runs this leg under `faults` and
+/// `faults,trace`.
 #[cfg(feature = "faults")]
 mod faults_matrix {
     use super::*;
     use disco::faults::FaultPlan;
 
-    /// Full stats report for one faulty matrix point.
-    fn faulty_stats(seed: u64, rate: f64, shards: usize) -> String {
-        let noc = NocConfig {
-            compute_shards: shards,
-            ..NocConfig::default()
-        };
-        let report = SimBuilder::new()
-            .mesh(4, 4)
-            .placement(CompressionPlacement::Disco)
-            .benchmark(Benchmark::Dedup)
-            .trace_len(300)
-            .seed(seed)
-            .noc(noc)
+    /// One faulty matrix point.
+    fn faulty_point(seed: u64, rate: f64) -> SimBuilder {
+        matrix_point(seed, CompressionPlacement::Disco, RoutingAlgorithm::Xy)
             .faults(FaultPlan::uniform(seed ^ 0xfa17, rate))
-            .run()
-            .expect("faulty matrix run drains");
-        let mut buf = Vec::new();
-        report.write_stats(&mut buf).expect("in-memory write");
-        String::from_utf8(buf).expect("stats are utf8")
     }
 
     #[test]
-    fn fault_stats_are_shard_invariant() {
+    fn fault_stats_rerun_identically() {
         for seed in [1u64, 2, 3] {
             for rate in [0.0, 1e-4] {
-                let serial = faulty_stats(seed, rate, 1);
-                for shards in [4, 16] {
-                    assert_eq!(
-                        serial,
-                        faulty_stats(seed, rate, shards),
-                        "seed {seed}, rate {rate}: {shards}-shard stats diverged"
-                    );
-                }
+                assert_reruns_identically(&format!("seed {seed}, rate {rate}"), || {
+                    stats_text(faulty_point(seed, rate))
+                });
             }
         }
     }
@@ -258,8 +138,12 @@ mod faults_matrix {
     /// stats file bytes all match the fault-free build.
     #[test]
     fn rate_zero_matches_fault_free_run() {
-        let clean = stats_with_shards(2, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 1);
-        let armed = faulty_stats(2, 0.0, 1);
+        let clean = stats_text(matrix_point(
+            2,
+            CompressionPlacement::Disco,
+            RoutingAlgorithm::Xy,
+        ));
+        let armed = stats_text(faulty_point(2, 0.0));
         assert_eq!(clean, armed, "inactive plan must be a no-op");
     }
 
@@ -267,81 +151,45 @@ mod faults_matrix {
     /// ejections, and retransmissions are all committed in node order).
     #[cfg(feature = "trace")]
     #[test]
-    fn faulty_trace_jsonl_is_shard_invariant() {
-        let export = |shards: usize| {
-            let noc = NocConfig {
-                compute_shards: shards,
-                ..NocConfig::default()
-            };
-            let report = SimBuilder::new()
-                .mesh(4, 4)
-                .placement(CompressionPlacement::Disco)
-                .benchmark(Benchmark::Dedup)
-                .trace_len(300)
-                .seed(9)
-                .noc(noc)
+    fn faulty_trace_jsonl_reruns_identically() {
+        let jsonl = assert_reruns_identically("faulty JSONL export", || {
+            let report = matrix_point(9, CompressionPlacement::Disco, RoutingAlgorithm::Xy)
                 .faults(FaultPlan::uniform(0xfa17, 1e-4))
                 .retain_trace_records(true)
                 .run()
                 .expect("faulty matrix run drains");
             let t = report.trace.expect("capture requested");
             disco::trace::export::jsonl_string(&t.records)
-        };
-        let serial = export(1);
-        assert!(!serial.is_empty());
-        for shards in [4, 16] {
-            assert_eq!(
-                serial,
-                export(shards),
-                "faulty JSONL export diverged at {shards} shards"
-            );
-        }
+        });
+        assert!(!jsonl.is_empty());
     }
 }
 
 /// The trace is part of the determinism contract too: every event is
 /// committed in node order and stamped with the simulated cycle (never
-/// wall-clock), so the exported JSONL must be byte-identical at any
-/// shard count. CI runs this under `parallel,trace`; without `parallel`
-/// the shard request is ignored and the comparison is a self-check.
+/// wall-clock), so the exported JSONL must rerun byte-identically. CI
+/// runs this under `trace` and `faults,trace`.
 #[cfg(feature = "trace")]
 #[test]
-fn trace_jsonl_is_shard_invariant() {
-    let export = |shards: usize| {
-        let noc = NocConfig {
-            compute_shards: shards,
-            ..NocConfig::default()
-        };
-        let report = SimBuilder::new()
-            .mesh(4, 4)
-            .placement(CompressionPlacement::Disco)
-            .benchmark(Benchmark::Dedup)
-            .trace_len(300)
-            .seed(9)
-            .noc(noc)
+fn trace_jsonl_reruns_identically() {
+    let jsonl = assert_reruns_identically("JSONL export", || {
+        let report = matrix_point(9, CompressionPlacement::Disco, RoutingAlgorithm::Xy)
             .retain_trace_records(true)
             .run()
             .expect("matrix run drains");
         let t = report.trace.expect("capture requested");
-        assert!(t.provenance.exact, "{shards} shards: decomposition exact");
+        assert!(t.provenance.exact, "decomposition exact");
         disco::trace::export::jsonl_string(&t.records)
-    };
-    let serial = export(1);
-    assert!(!serial.is_empty());
-    for shards in [4, 16] {
-        assert_eq!(
-            serial,
-            export(shards),
-            "JSONL export diverged at {shards} shards"
-        );
-    }
+    });
+    assert!(!jsonl.is_empty());
 }
 
 /// The checkpoint leg of the contract: run-to-cycle-N → snapshot →
-/// restore → run-to-end must be byte-identical to the unbroken run at
-/// every shard count — the stats file, and (feature-gated) the trace
-/// JSONL export and the fault ledger riding in the stats file. CI runs
-/// this under default and `parallel,faults,trace` builds.
+/// restore → run-to-end must be byte-identical to the unbroken run —
+/// the stats file, and (feature-gated) the trace JSONL export and the
+/// fault ledger riding in the stats file — and the snapshot taken at N
+/// must itself rerun byte-identically. CI runs this under default and
+/// `faults,trace` builds.
 mod snapshot_roundtrip {
     use super::*;
     use disco::core::{SimReport, System};
@@ -349,18 +197,8 @@ mod snapshot_roundtrip {
     /// Cycle at which the interrupted run pauses and checkpoints.
     const SNAPSHOT_AT: u64 = 300;
 
-    fn matrix_builder(seed: u64, placement: CompressionPlacement, shards: usize) -> SimBuilder {
-        let noc = NocConfig {
-            compute_shards: shards,
-            ..NocConfig::default()
-        };
-        let builder = SimBuilder::new()
-            .mesh(4, 4)
-            .placement(placement)
-            .benchmark(Benchmark::Dedup)
-            .trace_len(300)
-            .seed(seed)
-            .noc(noc);
+    fn matrix_builder(seed: u64, placement: CompressionPlacement) -> SimBuilder {
+        let builder = matrix_point(seed, placement, RoutingAlgorithm::Xy);
         #[cfg(feature = "faults")]
         let builder = builder.faults(disco::faults::FaultPlan::uniform(seed ^ 0xfa17, 1e-4));
         #[cfg(feature = "trace")]
@@ -388,28 +226,30 @@ mod snapshot_roundtrip {
     fn snapshot_resume_is_byte_identical() {
         for seed in [1u64, 2, 3] {
             for placement in [CompressionPlacement::Baseline, CompressionPlacement::Disco] {
-                for shards in [1usize, 4, 16] {
-                    let builder = matrix_builder(seed, placement, shards);
-                    let unbroken = artifacts(&builder.clone().run().expect("unbroken run drains"));
+                let builder = matrix_builder(seed, placement);
+                let unbroken = artifacts(&builder.clone().run().expect("unbroken run drains"));
+                let snapshot_at_n = || {
                     let mut sys = builder.build();
                     assert!(
                         !sys.step_until(SNAPSHOT_AT).expect("within budget"),
-                        "seed {seed}, {placement}, {shards} shards: \
-                         run finished before cycle {SNAPSHOT_AT}"
+                        "seed {seed}, {placement}: run finished before cycle {SNAPSHOT_AT}"
                     );
-                    let bytes = sys.snapshot();
-                    drop(sys);
-                    let resumed = System::restore(&bytes)
-                        .expect("snapshot restores")
-                        .run_to_completion()
-                        .expect("resumed run drains");
-                    assert_eq!(
-                        unbroken,
-                        artifacts(&resumed),
-                        "seed {seed}, {placement}, {shards} shards: \
-                         resumed run diverged from the unbroken run"
-                    );
-                }
+                    sys.snapshot()
+                };
+                let bytes = snapshot_at_n();
+                assert!(
+                    bytes == snapshot_at_n(),
+                    "seed {seed}, {placement}: snapshot at cycle {SNAPSHOT_AT} diverged on rerun"
+                );
+                let resumed = System::restore(&bytes)
+                    .expect("snapshot restores")
+                    .run_to_completion()
+                    .expect("resumed run drains");
+                assert_eq!(
+                    unbroken,
+                    artifacts(&resumed),
+                    "seed {seed}, {placement}: resumed run diverged from the unbroken run"
+                );
             }
         }
     }

@@ -258,9 +258,10 @@ fn cfg_hidden_wallclock_caught_by_ast_missed_by_string_scan() {
 // ---------------------------------------------------------------------------
 
 /// A compute phase whose kernel takes `&mut Router` — the exact
-/// signature change that would let per-cycle code mutate shared state
-/// and break shard determinism. The purity check pins the shared
-/// reference.
+/// signature change that would let per-cycle code mutate router state
+/// mid-compute, so later routers would no longer see the one
+/// cycle-start state the node-ordered commit relies on. The purity
+/// check pins the shared reference.
 #[test]
 fn compute_phase_mutable_signature_is_caught() {
     let defect = "
@@ -277,7 +278,7 @@ fn compute_phase_mutable_signature_is_caught() {
 
 /// Interior mutability smuggled into the compute phase: a `RefCell`
 /// write compiles against `&Router` but still mutates during the
-/// parallel phase.
+/// compute phase.
 #[test]
 fn compute_phase_interior_mutability_is_caught() {
     let defect = "
