@@ -5,6 +5,8 @@
 //! sweep runs DISCO under XY, YX, O1TURN, and west-first adaptive
 //! routing: load-balancing routing spreads the contention DISCO harvests,
 //! trading fewer idle windows (less hiding) for lower base queuing.
+//! A configuration that does not drain within its cycle budget prints
+//! a `run failed` row naming the error instead of a stats row.
 //!
 //! `cargo run --release -p disco-bench --bin ablation_routing`
 
@@ -31,7 +33,7 @@ fn main() {
             ("O1TURN", RoutingAlgorithm::O1Turn),
             ("west-first", RoutingAlgorithm::WestFirst),
         ] {
-            let r = SimBuilder::new()
+            let run = SimBuilder::new()
                 .mesh(4, 4)
                 .placement(CompressionPlacement::Disco)
                 .benchmark(bench)
@@ -41,8 +43,17 @@ fn main() {
                     ..NocConfig::default()
                 })
                 .seed(DEFAULT_SEED)
-                .run()
-                .expect("run");
+                .run();
+            // A run that fails to drain is a result too: keep its row
+            // (with the error naming the budget and the backlog) and go
+            // on with the rest of the table.
+            let r = match run {
+                Ok(r) => r,
+                Err(e) => {
+                    println!("{:<12} {:<11} run failed: {e}", bench.name(), name);
+                    continue;
+                }
+            };
             let d = r.disco.expect("disco stats");
             println!(
                 "{:<12} {:<11} {:>9.1} {:>9.1} {:>8} {:>8} {:>9}",

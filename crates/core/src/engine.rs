@@ -826,11 +826,19 @@ impl DiscoLayer {
         let depth = net.config().buffer_depth;
         let mut best: Option<(f64, usize, usize, PacketId, Mode)> = None;
         let mut saw_candidate = false;
-        for &(port, vc) in net.router(node_id).sa_losers() {
-            let vc_ref = net.router(node_id).vc(port, vc);
+        let router = net.router(node_id);
+        for &(port, vc) in router.sa_losers() {
+            let vc_ref = router.vc(port, vc);
             if vc_ref.is_locked() {
                 continue;
             }
+            // Downstream pressure is a property of the losing VC, shared
+            // by every packet resident in it.
+            let remote = depth.saturating_sub(
+                net.downstream_credits(node_id, port, vc)
+                    .unwrap_or(depth)
+                    .min(depth),
+            );
             for pid in vc_ref.resident_packets_iter() {
                 if busy.contains(&pid) {
                     continue;
@@ -842,11 +850,6 @@ impl DiscoLayer {
                 let msg = Msg::decode(pkt.tag);
                 let is_front = vc_ref.front_packet() == Some(pid) && vc_ref.front_is_head();
                 let whole = vc_ref.resident_of(pid) == pkt.size_flits() && vc_ref.has_tail_of(pid);
-                let remote = depth.saturating_sub(
-                    net.downstream_credits(node_id, port, vc)
-                        .unwrap_or(depth)
-                        .min(depth),
-                );
                 let pressure = Pressure {
                     local_occupancy: vc_ref.occupancy(),
                     remote_occupancy: remote,
@@ -877,7 +880,7 @@ impl DiscoLayer {
                         // engine on them.
                         let growth = (disco_compress::LINE_BYTES / FLIT_BYTES)
                             .saturating_sub(pkt.size_flits());
-                        if net.router(node_id).free_slots(port, vc) < growth {
+                        if router.free_slots(port, vc) < growth {
                             continue;
                         }
                         let conf = self.params.decompression_confidence(&pressure);
@@ -923,13 +926,11 @@ impl DiscoLayer {
                 let remote = if net.topology().is_local(dir) {
                     0
                 } else {
-                    depth.saturating_sub(net.router(node_id).credit_in(dir, response_vc).min(depth))
+                    depth.saturating_sub(router.credit_in(dir, response_vc).min(depth))
                 };
                 let local_port = net.topology().local_port(tile_id).0;
                 let pressure = Pressure {
-                    local_occupancy: pos
-                        + 1
-                        + net.router(node_id).local_occupancy(local_port, response_vc),
+                    local_occupancy: pos + 1 + router.local_occupancy(local_port, response_vc),
                     remote_occupancy: remote,
                     hops_remaining: remaining_hops(net.topology(), tile_id, pkt.dst),
                 };

@@ -112,9 +112,15 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     }
 }
 
-/// Applies the slot's outcomes in node order `0..n`.
+/// Applies the slot's outcomes in node order `0..n`. A router that
+/// decided nothing this cycle and has no stale loser list to clear is
+/// left untouched: its outcome carries no action, event or stat, and its
+/// round-robin pointers are unchanged.
 pub(crate) fn commit_cycle(net: &mut Network, slot: &ComputeSlot) {
     for (node, outcome) in slot.outcomes.iter().enumerate() {
+        if outcome.is_noop() && net.routers[node].sa_losers.is_empty() {
+            continue;
+        }
         commit_node(net, node, outcome);
     }
 }

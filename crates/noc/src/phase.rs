@@ -4,16 +4,21 @@
 //! function over an immutable snapshot of that router's state at the
 //! start of the cycle, and writes the decisions as typed action lists
 //! into a caller-provided [`RouterOutcome`]. It mutates no router state:
-//! within-cycle dependencies (VA sees this cycle's RC, SA sees this
-//! cycle's VA) are tracked in small overlays of the per-VC state and the
-//! output allocation table, while buffers and credits are only read.
+//! buffers, VC states, the output allocation table and credits are only
+//! read.
 //!
-//! The overlays and the SA candidate list live in a reusable
-//! [`ComputeScratch`] arena, and the outcome's action lists are cleared
-//! (not reallocated) on entry — so a steady-state cycle performs **zero
-//! heap allocations**: every buffer reaches its high-water capacity once
-//! and is reused for the rest of the run. `crates/noc/tests` pins this
-//! with a counting global allocator.
+//! One sweep over the router's occupied input VCs does RC, then VA,
+//! then files the VC's switch request in its output port's bucket (or
+//! records it as a VA loser). VA sees this cycle's earlier grants
+//! through a short list of claimed output VCs; SA then arbitrates each
+//! output from its own bucket. An empty VC costs one emptiness check.
+//!
+//! The claim list and the buckets live in a reusable [`ComputeScratch`]
+//! arena, and the outcome's action lists are cleared (not reallocated)
+//! on entry — so a steady-state cycle performs **zero heap
+//! allocations**: every buffer reaches its high-water capacity once and
+//! is reused for the rest of the run. `crates/noc/tests` pins this with
+//! a counting global allocator.
 //!
 //! Because every router's outcome depends only on the cycle-start
 //! snapshot, the compute phase may visit the routers in any order and
@@ -88,21 +93,45 @@ impl RouterOutcome {
             self.fault_port_stalls = 0;
         }
     }
+
+    /// True when the router decided nothing this cycle: no route, grant,
+    /// departure or loser. Every event, stat and fault-stall count
+    /// follows from one of those, so such an outcome changes nothing.
+    pub(crate) fn is_noop(&self) -> bool {
+        self.routes.is_empty()
+            && self.grants.is_empty()
+            && self.departures.is_empty()
+            && self.sa_losers.is_empty()
+    }
 }
 
-/// Reusable working memory for [`compute_router`]: the RC/VA overlays
-/// and the SA candidate list. One arena serves every router in
-/// sequence; capacities grow to the high-water mark once and
-/// then stay — no per-router, per-cycle allocation.
+/// A switch-allocation request: an `Active` input VC whose ready front
+/// flit has downstream credit on its output VC.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    port: usize,
+    vc: usize,
+    out_vc: usize,
+    flit: Flit,
+}
+
+/// Reusable working memory for [`compute_router`]: this cycle's VA
+/// claims and the per-output SA buckets. One arena serves every router
+/// in sequence; capacities grow to the high-water mark once and then
+/// stay — no per-router, per-cycle allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ComputeScratch {
-    /// VC-state overlay (VA sees this cycle's RC), `port * vcs + vc`.
-    state: Vec<VcState>,
-    /// Output-allocation overlay (SA sees this cycle's VA), same layout.
-    alloc: Vec<Option<(usize, usize)>>,
-    /// SA candidates for the output port under arbitration:
-    /// `(port, vc, out_vc, prio)`.
-    candidates: Vec<(usize, usize, usize, u8)>,
+    /// Output VCs granted earlier in this cycle's sweep, `(out_port,
+    /// out_vc)`: with the router's `out_alloc` snapshot, the allocation
+    /// state VA sees.
+    claimed: Vec<(usize, usize)>,
+    /// SA requests bucketed by output port, each in input order.
+    cands: Vec<Vec<Request>>,
+    /// Inputs stalled on zero downstream credit, bucketed by output port,
+    /// each in input order.
+    no_credit: Vec<Vec<(usize, usize)>>,
+    /// Routed VCs with a ready front flit that found no free output VC.
+    va_losers: Vec<(usize, usize)>,
 }
 
 /// Priority class for switch allocation (§3.3-B): lower wins.
@@ -133,6 +162,11 @@ fn class_vcs(router: &Router, class: PacketClass) -> std::ops::Range<usize> {
 /// `router` is only read; the only mutation targets are the caller's
 /// arena (`scratch`) and outcome slot (`out`), which alias no router
 /// state.
+///
+/// Allocation losers land in `out.sa_losers` in a fixed order — per
+/// output port, its no-credit stalls then its arbitration losers; after
+/// all outputs, the VA losers — which DISCO's candidate pick breaks ties
+/// by and the trace stream records.
 pub(crate) fn compute_router(
     router: &Router,
     now: u64,
@@ -145,37 +179,42 @@ pub(crate) fn compute_router(
     out.reset(&router.rr_sa);
     // Idle fast path: with no buffered flit there is no RC candidate, no
     // VA-eligible VC with a front packet, no SA candidate, and no VA
-    // loser — the stage loops below would decide nothing. On big meshes
-    // most routers are idle most cycles; skip them outright.
+    // loser — the sweep below would decide nothing. On big meshes most
+    // routers are idle most cycles; skip them outright.
     if router.total_buffered() == 0 {
         return;
     }
     let vcs = router.config.vcs;
     let ports = router.ports;
     let flat = |port: usize, v: usize| port * vcs + v;
-    // Local overlays: VA must see this cycle's RC and SA must see this
-    // cycle's VA, all without touching the router.
     let ComputeScratch {
-        state,
-        alloc,
-        candidates,
+        claimed,
+        cands,
+        no_credit,
+        va_losers,
     } = scratch;
-    state.clear();
-    alloc.clear();
-    for i in 0..ports * vcs {
-        state.push(router.inputs[i].state);
-        alloc.push(router.out_alloc[i]);
-    }
+    claimed.clear();
+    va_losers.clear();
+    cands.resize_with(ports, Vec::new);
+    no_credit.resize_with(ports, Vec::new);
+    cands.iter_mut().for_each(Vec::clear);
+    no_credit.iter_mut().for_each(Vec::clear);
 
-    // RC + VA, in the same (port, vc) order as the legacy in-place loop.
-    for port in 0..ports {
-        for v in 0..vcs {
+    // One sweep in (port, vc) order over the occupied VCs: RC, VA, then
+    // the VC's SA request. An empty VC decides nothing — it has no head
+    // to route, and a Routed VC always holds its head flit.
+    for (port, row) in router.inputs.chunks_exact(vcs).enumerate() {
+        for (v, vc) in row.iter().enumerate() {
+            let Some(&front) = vc.buffer.front() else {
+                continue;
+            };
+            let ready = front.ready_at <= now;
+            let mut state = vc.state;
             // RC: a fresh head flit gets its output port.
-            if state[flat(port, v)] == VcState::Idle {
-                let front = match router.inputs[flat(port, v)].buffer.front() {
-                    Some(f) if f.kind.is_head() && f.ready_at <= now => *f,
-                    _ => continue,
-                };
+            if state == VcState::Idle {
+                if !(front.kind.is_head() && ready) {
+                    continue;
+                }
                 let pkt = store.get(front.packet);
                 let group = class_vcs(router, pkt.class);
                 let dir = route(
@@ -195,7 +234,7 @@ pub(crate) fn compute_router(
                 // Escape faulted links where a deadlock-free detour
                 // exists; the identity when no fault plan is active.
                 let dir = gate.adjust_route(topo, router.node, pkt.dst, dir);
-                state[flat(port, v)] = VcState::Routed(dir);
+                state = VcState::Routed(dir);
                 out.routes.push((port, v, dir));
                 disco_trace::emit!(
                     out.events,
@@ -209,12 +248,8 @@ pub(crate) fn compute_router(
                 );
             }
             // VA: acquire the class VC on the output port.
-            if let VcState::Routed(dir) = state[flat(port, v)] {
-                let packet = match router.inputs[flat(port, v)].front_packet() {
-                    Some(p) => p,
-                    None => continue,
-                };
-                let pkt = store.get(packet);
+            if let VcState::Routed(dir) = state {
+                let pkt = store.get(front.packet);
                 // Acquire any free VC of the class group on the output
                 // port, narrowed by the topology's dateline discipline
                 // (identity on the mesh; low/high half-groups on the
@@ -223,7 +258,9 @@ pub(crate) fn compute_router(
                 let class_group = class_vcs(router, pkt.class);
                 let out_vc =
                     output_vc_range(topo, router.node, dir, pkt.dst, class_group).find(|&cand| {
-                        if alloc[flat(dir.0, cand)].is_some() {
+                        if router.out_alloc[flat(dir.0, cand)].is_some()
+                            || claimed.contains(&(dir.0, cand))
+                        {
                             return false;
                         }
                         match router.config.flow_control {
@@ -231,14 +268,22 @@ pub(crate) fn compute_router(
                             _ => router.credits[flat(dir.0, cand)] >= pkt.size_flits(),
                         }
                     });
-                let Some(out_vc) = out_vc else { continue };
-                alloc[flat(dir.0, out_vc)] = Some((port, v));
-                state[flat(port, v)] = VcState::Active { out: dir, out_vc };
+                let Some(out_vc) = out_vc else {
+                    // VA losers also idle and are therefore compression
+                    // candidates (§3.2 step 1 collects losers of both VC
+                    // and switch allocation).
+                    if ready && !vc.locked {
+                        va_losers.push((port, v));
+                    }
+                    continue;
+                };
+                claimed.push((dir.0, out_vc));
+                state = VcState::Active { out: dir, out_vc };
                 out.grants.push((port, v, dir, out_vc));
                 disco_trace::emit!(
                     out.events,
                     disco_trace::Event::VcAlloc {
-                        packet: packet.0,
+                        packet: front.packet.0,
                         node: router.node.0 as u16,
                         in_port: port as u8,
                         in_vc: v as u8,
@@ -247,142 +292,128 @@ pub(crate) fn compute_router(
                     }
                 );
             }
+            // SA request: an active VC with a ready front flit bids for
+            // its output, unless a committed de/compression holds it
+            // (the shadow is invalid and must not be scheduled).
+            let VcState::Active { out: o, out_vc } = state else {
+                continue;
+            };
+            if !ready || vc.locked {
+                continue;
+            }
+            // Credits are read from the snapshot only — each output is
+            // arbitrated once per cycle and outputs never share a credit
+            // counter, so no overlay is needed.
+            if router.credits[flat(o.0, out_vc)] == 0 {
+                no_credit[o.0].push((port, v));
+                continue;
+            }
+            if router.config.flow_control == FlowControl::StoreAndForward
+                && front.kind.is_head()
+                && !front.kind.is_tail()
+                && !vc.has_tail_of(front.packet)
+            {
+                // SAF: the whole packet must be buffered before the
+                // head may leave.
+                continue;
+            }
+            cands[o.0].push(Request {
+                port,
+                vc: v,
+                out_vc,
+                flit: front,
+            });
         }
     }
 
-    // SA + traversal decisions: one winner per output port. Credits are
-    // read from the snapshot only — each output is arbitrated exactly
-    // once per cycle and outputs never share a credit counter, so no
-    // overlay is needed.
+    // SA + traversal decisions: one winner per output port, drawn from
+    // that output's bucket.
+    let inputs = ports * vcs;
     for oi in 0..ports {
-        let outdir = PortId(oi);
-        // Gather candidates into the reusable arena: active VCs routed to
-        // this output with a ready front flit and downstream credit.
-        candidates.clear();
-        for port in 0..ports {
-            for v in 0..vcs {
-                let (o, out_vc) = match state[flat(port, v)] {
-                    VcState::Active { out: o, out_vc } => (o, out_vc),
-                    _ => continue,
-                };
-                if o != outdir {
-                    continue;
+        for &(port, v) in &no_credit[oi] {
+            out.sa_losers.push((port, v));
+            disco_trace::emit!(
+                out.events,
+                disco_trace::Event::VcStall {
+                    packet: router.inputs[flat(port, v)]
+                        .buffer
+                        .front()
+                        .map_or(0, |f| f.packet.0),
+                    node: router.node.0 as u16,
+                    port: port as u8,
+                    vc: v as u8,
+                    reason: disco_trace::stall::NO_CREDIT,
                 }
-                let vc = &router.inputs[flat(port, v)];
-                let front = match vc.buffer.front() {
-                    Some(f) if f.ready_at <= now => *f,
-                    _ => continue,
-                };
-                if vc.locked {
-                    // Committed de/compression: the shadow is invalid
-                    // and must not be scheduled.
-                    continue;
-                }
-                if router.credits[flat(oi, out_vc)] == 0 {
-                    out.sa_losers.push((port, v));
-                    disco_trace::emit!(
-                        out.events,
-                        disco_trace::Event::VcStall {
-                            packet: front.packet.0,
-                            node: router.node.0 as u16,
-                            port: port as u8,
-                            vc: v as u8,
-                            reason: disco_trace::stall::NO_CREDIT,
-                        }
-                    );
-                    continue;
-                }
-                if router.config.flow_control == FlowControl::StoreAndForward
-                    && front.kind.is_head()
-                    && !front.kind.is_tail()
-                    && !vc.has_tail_of(front.packet)
-                {
-                    // SAF: the whole packet must be buffered before the
-                    // head may leave.
-                    continue;
-                }
-                let prio = sa_priority(router, store, front.packet);
-                candidates.push((port, v, out_vc, prio));
-            }
+            );
+        }
+        let bucket = &cands[oi];
+        if bucket.is_empty() {
+            continue;
         }
         // An injected port stall (or flaky-link outage window) forfeits
         // this output's arbitration round outright: every candidate
         // idles — and, like any SA loser, becomes a DISCO compression
         // candidate.
         #[cfg(feature = "faults")]
-        if !candidates.is_empty()
-            && !router.is_local_port(outdir)
-            && gate.output_blocked(now, router.node.0, oi)
-        {
+        if !router.is_local_port(PortId(oi)) && gate.output_blocked(now, router.node.0, oi) {
             out.fault_port_stalls += 1;
-            for c in candidates.iter() {
-                out.sa_losers.push((c.0, c.1));
+            for c in bucket {
+                out.sa_losers.push((c.port, c.vc));
                 disco_trace::emit!(
                     out.events,
                     disco_trace::Event::VcStall {
-                        packet: router.inputs[flat(c.0, c.1)]
-                            .buffer
-                            .front()
-                            .map_or(0, |f| f.packet.0),
+                        packet: c.flit.packet.0,
                         node: router.node.0 as u16,
-                        port: c.0 as u8,
-                        vc: c.1 as u8,
+                        port: c.port as u8,
+                        vc: c.vc as u8,
                         reason: disco_trace::stall::FAULT_STALL,
                     }
                 );
             }
             continue;
         }
-        // Winner: highest priority class, round-robin within it. The
-        // lexicographic key picks the best-priority candidate closest
-        // after the round-robin pointer.
+        // Winner: highest priority class (§3.3-B), round-robin within
+        // it — the lowest (priority, distance after the round-robin
+        // pointer). A lone request wins without the priority lookup.
         let rr = out.rr_sa[oi];
-        let Some(winner) = candidates
-            .iter()
-            .min_by_key(|c| {
-                let flat_in = c.0 * vcs + c.1;
-                (c.3, (flat_in + ports * vcs - rr) % (ports * vcs))
-            })
-            .copied()
-        else {
-            continue;
+        let win = if bucket.len() == 1 {
+            0
+        } else {
+            let mut best = (0, (u8::MAX, usize::MAX));
+            for (k, c) in bucket.iter().enumerate() {
+                let flat_in = flat(c.port, c.vc);
+                let dist = if flat_in >= rr {
+                    flat_in - rr
+                } else {
+                    flat_in + inputs - rr
+                };
+                let key = (sa_priority(router, store, c.flit.packet), dist);
+                if key < best.1 {
+                    best = (k, key);
+                }
+            }
+            best.0
         };
-        out.rr_sa[oi] = (winner.0 * vcs + winner.1 + 1) % (ports * vcs);
+        let winner = bucket[win];
+        let next = flat(winner.port, winner.vc) + 1;
+        out.rr_sa[oi] = if next == inputs { 0 } else { next };
         // Everyone else idles: these are DISCO's compression candidates.
-        for c in candidates.iter() {
-            if (c.0, c.1) != (winner.0, winner.1) {
-                out.sa_losers.push((c.0, c.1));
+        for (k, c) in bucket.iter().enumerate() {
+            if k != win {
+                out.sa_losers.push((c.port, c.vc));
                 disco_trace::emit!(
                     out.events,
                     disco_trace::Event::VcStall {
-                        packet: router.inputs[flat(c.0, c.1)]
-                            .buffer
-                            .front()
-                            .map_or(0, |f| f.packet.0),
+                        packet: c.flit.packet.0,
                         node: router.node.0 as u16,
-                        port: c.0 as u8,
-                        vc: c.1 as u8,
+                        port: c.port as u8,
+                        vc: c.vc as u8,
                         reason: disco_trace::stall::LOST_ARBITRATION,
                     }
                 );
             }
         }
-        let (port, v, out_vc, _) = winner;
-        let flit = match router.inputs[flat(port, v)].buffer.front() {
-            Some(f) => *f,
-            None => {
-                // A candidate was admitted above only with a ready front
-                // flit; an empty buffer here is unreachable.
-                debug_assert!(false, "SA winner lost its front flit");
-                continue;
-            }
-        };
-        if flit.kind.is_tail() {
-            // Release the output VC and idle the input within this
-            // cycle's overlay (matters for the VA-loser sweep below).
-            alloc[flat(oi, out_vc)] = None;
-            state[flat(port, v)] = VcState::Idle;
-        }
+        let flit = winner.flit;
         // Traverse events only for head and tail flits: the head marks
         // the hop's start, the tail its departure time (what the
         // provenance pass consumes); body flits would only add volume.
@@ -401,37 +432,28 @@ pub(crate) fn compute_router(
         }
         out.departures.push(Departure {
             flit,
-            in_port: port,
-            in_vc: v,
-            out: outdir,
-            out_vc,
+            in_port: winner.port,
+            in_vc: winner.vc,
+            out: PortId(oi),
+            out_vc: winner.out_vc,
         });
     }
 
-    // VA losers also idle and are therefore compression candidates
-    // (§3.2 step 1 collects losers of both VC and switch allocation).
-    for port in 0..ports {
-        for v in 0..vcs {
-            let vc = &router.inputs[flat(port, v)];
-            if vc.locked {
-                continue;
+    for &(port, v) in va_losers.iter() {
+        out.sa_losers.push((port, v));
+        disco_trace::emit!(
+            out.events,
+            disco_trace::Event::VcStall {
+                packet: router.inputs[flat(port, v)]
+                    .buffer
+                    .front()
+                    .map_or(0, |f| f.packet.0),
+                node: router.node.0 as u16,
+                port: port as u8,
+                vc: v as u8,
+                reason: disco_trace::stall::NO_FREE_VC,
             }
-            if let VcState::Routed(_) = state[flat(port, v)] {
-                if matches!(vc.buffer.front(), Some(f) if f.ready_at <= now) {
-                    out.sa_losers.push((port, v));
-                    disco_trace::emit!(
-                        out.events,
-                        disco_trace::Event::VcStall {
-                            packet: vc.buffer.front().map_or(0, |f| f.packet.0),
-                            node: router.node.0 as u16,
-                            port: port as u8,
-                            vc: v as u8,
-                            reason: disco_trace::stall::NO_FREE_VC,
-                        }
-                    );
-                }
-            }
-        }
+        );
     }
 
     // Stat delta: everything the legacy loop counted inline, derived

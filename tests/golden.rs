@@ -6,21 +6,28 @@
 //! Two cases pin opposite ends of the load range: a busy 2x2 dedup run
 //! whose NoC is rarely empty, and an idle-heavy 4x4 swaptions run that
 //! spends most of its cycles with no packet in the network (so it
-//! exercises the quiescent-span jump of the cycle loop).
+//! exercises the quiescent-span jump of the cycle loop). A third runs
+//! virtual cut-through with the §3.3-B demotion rule, so whole-packet VC
+//! allocation and multi-class priority arbitration are pinned too. Under
+//! the `trace` feature a fourth pins the order of the event stream
+//! itself, which the stats cannot see.
 
 use disco::core::{CompressionPlacement, SimBuilder};
+use disco::noc::{FlowControl, NocConfig};
 use disco::workloads::Benchmark;
 use std::path::Path;
 
-fn current_stats(cols: usize, rows: usize, benchmark: Benchmark, trace_len: usize) -> String {
-    let report = SimBuilder::new()
+fn golden_run(cols: usize, rows: usize, benchmark: Benchmark, trace_len: usize) -> SimBuilder {
+    SimBuilder::new()
         .mesh(cols, rows)
         .placement(CompressionPlacement::Disco)
         .benchmark(benchmark)
         .trace_len(trace_len)
         .seed(2016)
-        .run()
-        .expect("golden run drains");
+}
+
+fn stats_of(builder: SimBuilder) -> String {
+    let report = builder.run().expect("golden run drains");
     let mut buf = Vec::new();
     report.write_stats(&mut buf).expect("in-memory write");
     String::from_utf8(buf).expect("stats are utf8")
@@ -65,7 +72,7 @@ fn check_golden(file: &str, current: &str) {
 fn fixed_seed_run_matches_golden_stats() {
     check_golden(
         "golden_stats.txt",
-        &current_stats(2, 2, Benchmark::Dedup, 400),
+        &stats_of(golden_run(2, 2, Benchmark::Dedup, 400)),
     );
 }
 
@@ -73,6 +80,44 @@ fn fixed_seed_run_matches_golden_stats() {
 fn idle_heavy_run_matches_golden_stats() {
     check_golden(
         "golden_stats_idle.txt",
-        &current_stats(4, 4, Benchmark::Swaptions, 2000),
+        &stats_of(golden_run(4, 4, Benchmark::Swaptions, 2000)),
+    );
+}
+
+#[test]
+fn cut_through_demotion_run_matches_golden_stats() {
+    let noc = NocConfig {
+        flow_control: FlowControl::VirtualCutThrough,
+        ..NocConfig::default()
+    };
+    check_golden(
+        "golden_stats_vct.txt",
+        &stats_of(
+            golden_run(4, 4, Benchmark::Dedup, 600)
+                .noc(noc)
+                .demote_uncompressed(true),
+        ),
+    );
+}
+
+/// FNV-1a over the exported JSONL of every retained record of a
+/// contended 4x4 dedup run: Route/VcAlloc/VcStall/Traverse order within
+/// a cycle is what DISCO's candidate tie-breaks follow, and only this
+/// hash pins it byte for byte.
+#[cfg(feature = "trace")]
+#[test]
+fn trace_record_stream_matches_golden_hash() {
+    let report = golden_run(4, 4, Benchmark::Dedup, 800)
+        .retain_trace_records(true)
+        .run()
+        .expect("golden run drains");
+    let t = report.trace.expect("capture requested");
+    let jsonl = disco::trace::export::jsonl_string(&t.records);
+    let hash = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    check_golden(
+        "golden_trace_hash.txt",
+        &format!("records {}\nfnv1a64 {hash:016x}\n", t.records.len()),
     );
 }
